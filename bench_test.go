@@ -87,7 +87,7 @@ func BenchmarkFigure8(b *testing.B) {
 		for _, eps := range []float64{0.10, 0.20, 0.30, 0.50} {
 			for _, exec := range []engine.Executor{engine.ScanMatch, engine.FastMatch} {
 				b.Run(qid+"/eps="+strconv.FormatFloat(eps, 'g', -1, 64)+"/"+exec.String(), func(b *testing.B) {
-					runQuery(b, qid, exec, expt.RunOverrides{Epsilon: eps})
+					runQuery(b, qid, exec, expt.RunOverrides{Epsilon: eps, DisableCrossover: true})
 				})
 			}
 		}
@@ -105,7 +105,7 @@ func BenchmarkFigure9(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					res, err := w.Run(qid, engine.FastMatch,
-						expt.RunOverrides{Epsilon: eps, Seed: int64(i + 1)})
+						expt.RunOverrides{Epsilon: eps, Seed: int64(i + 1), DisableCrossover: true})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -126,7 +126,7 @@ func BenchmarkFigure10(b *testing.B) {
 	for _, qid := range []string{"flights-q1", "taxi-q1", "police-q3"} {
 		for _, la := range []int{8, 64, 512, 2048} {
 			b.Run(qid+"/lookahead="+strconv.Itoa(la), func(b *testing.B) {
-				runQuery(b, qid, engine.FastMatch, expt.RunOverrides{Lookahead: la})
+				runQuery(b, qid, engine.FastMatch, expt.RunOverrides{Lookahead: la, DisableCrossover: true})
 			})
 		}
 	}
@@ -137,7 +137,7 @@ func BenchmarkFigure11(b *testing.B) {
 	for _, qid := range []string{"flights-q1", "police-q2"} {
 		for _, delta := range []float64{0.005, 0.01, 0.02} {
 			b.Run(qid+"/delta="+strconv.FormatFloat(delta, 'g', -1, 64), func(b *testing.B) {
-				runQuery(b, qid, engine.FastMatch, expt.RunOverrides{Delta: delta})
+				runQuery(b, qid, engine.FastMatch, expt.RunOverrides{Delta: delta, DisableCrossover: true})
 			})
 		}
 	}
@@ -169,8 +169,8 @@ func BenchmarkSigmaZero(b *testing.B) {
 		name string
 		ov   expt.RunOverrides
 	}{
-		{"default-sigma", expt.RunOverrides{}},
-		{"sigma=0", expt.RunOverrides{SigmaZero: true, MaxRounds: 16}},
+		{"default-sigma", expt.RunOverrides{DisableCrossover: true}},
+		{"sigma=0", expt.RunOverrides{SigmaZero: true, MaxRounds: 16, DisableCrossover: true}},
 	} {
 		b.Run("taxi-q1/"+mode.name, func(b *testing.B) {
 			runQuery(b, "taxi-q1", engine.FastMatch, mode.ov)
@@ -208,7 +208,7 @@ func BenchmarkAblationRoundBudget(b *testing.B) {
 				opts := engine.Options{
 					Params:   coreParamsForBench(tbl.NumRows(), mode.budget),
 					Executor: engine.FastMatch, Lookahead: 1024,
-					StartBlock: -1, Seed: int64(i + 1),
+					StartBlock: -1, Seed: int64(i + 1), DisableCrossover: true,
 				}
 				if _, err := e.RunWithTarget(engine.Query{Z: "Origin", X: []string{"DepartureHour"}}, target, opts); err != nil {
 					b.Fatal(err)
@@ -295,7 +295,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 				opts := engine.Options{
 					Params:   coreParamsForBench(ds.Table.NumRows(), 0),
 					Executor: engine.FastMatch, Lookahead: 1024,
-					StartBlock: -1, Seed: int64(i + 1),
+					StartBlock: -1, Seed: int64(i + 1), DisableCrossover: true,
 				}
 				if _, err := e.RunWithTarget(engine.Query{Z: "Origin", X: []string{"DepartureHour"}}, target, opts); err != nil {
 					b.Fatal(err)
@@ -393,7 +393,7 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 		for pb.Next() {
 			res, err := p.RunWithTarget(target, engine.Options{
 				Params: params, Executor: engine.FastMatch,
-				Lookahead: 1024, StartBlock: -1, Seed: seq.Add(1),
+				Lookahead: 1024, StartBlock: -1, Seed: seq.Add(1), DisableCrossover: true,
 			})
 			if err != nil {
 				b.Error(err)

@@ -103,8 +103,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr,
-		"executor=%s sampled=%d/%d tuples blocks(read=%d skipped=%d) rounds=%d pruned=%d exact=%v in %v\n",
-		exec, res.Stats.TotalSamples(), tbl.NumRows(),
+		"executor=%s crossover=%v sampled=%d/%d tuples blocks(read=%d skipped=%d) rounds=%d pruned=%d exact=%v in %v\n",
+		exec, res.Crossover, res.Stats.TotalSamples(), tbl.NumRows(),
 		res.IO.BlocksRead, res.IO.BlocksSkipped, res.Stats.Rounds,
 		res.Stats.PrunedCandidates, res.Exact, res.Duration.Round(time.Microsecond))
 	for rank, match := range res.TopK {

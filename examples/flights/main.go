@@ -82,8 +82,12 @@ func main() {
 			scanTime = r.Duration
 		}
 		speedup := float64(scanTime) / float64(r.Duration)
-		fmt.Printf("  %-10v %10v  speedup %5.2fx  tuples read %9d  blocks skipped %7d\n",
-			exec, r.Duration.Round(time.Microsecond), speedup, r.IO.TuplesRead, r.IO.BlocksSkipped)
+		mark := ""
+		if r.Crossover {
+			mark = "  (crossed over to Scan)"
+		}
+		fmt.Printf("  %-10v %10v  speedup %5.2fx  tuples read %9d  blocks skipped %7d%s\n",
+			exec, r.Duration.Round(time.Microsecond), speedup, r.IO.TuplesRead, r.IO.BlocksSkipped, mark)
 	}
 
 	// SUM query via a measure-biased view: which origins have delay-cost

@@ -43,6 +43,7 @@ func main() {
 	opts.Params.K = 3
 	opts.Params.Epsilon = 0.02
 	opts.Seed = 42
+	opts.DisableCrossover = true // the sampler is the subject, not the exact scan
 	opts.OnProgress = func(p fastmatch.Progress) {
 		best := "-"
 		if len(p.TopK) > 0 {
@@ -105,7 +106,8 @@ func main() {
 	  "table": "taxi",
 	  "query": {"z": "city", "x": ["hour"]},
 	  "target": {"uniform": true},
-	  "options": {"k": 3, "executor": "scanmatch", "epsilon": 0.02, "seed": 42}
+	  "options": {"k": 3, "executor": "scanmatch", "epsilon": 0.02, "seed": 42,
+	              "disable_crossover": true}
 	}`
 	resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json",
 		bytes.NewReader([]byte(body)))

@@ -46,6 +46,7 @@ func main() {
 	opts.Params.K = 3
 	opts.Params.Epsilon = 0.02
 	opts.Seed = 42
+	opts.DisableCrossover = true // the sampler is the subject, not the exact scan
 	opts.Quality = true
 	opts.OnProgress = func(p fastmatch.Progress) {
 		if p.Quality == nil {
@@ -120,7 +121,8 @@ func main() {
 	  "table": "taxi",
 	  "query": {"z": "city", "x": ["hour"]},
 	  "target": {"uniform": true},
-	  "options": {"k": 3, "executor": "scanmatch", "epsilon": 0.02, "seed": 42},
+	  "options": {"k": 3, "executor": "scanmatch", "epsilon": 0.02, "seed": 42,
+	              "disable_crossover": true},
 	  "quality": true
 	}`
 	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))

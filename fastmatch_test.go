@@ -44,6 +44,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	opts.Params.Stage1Samples = 0
 	for _, exec := range []fastmatch.Executor{fastmatch.Scan, fastmatch.ScanMatch, fastmatch.SyncMatch, fastmatch.FastMatch} {
 		opts.Executor = exec
+		// σ = 0 always crosses over to Scan; this test checks each
+		// executor through the public API.
+		opts.DisableCrossover = true
 		res, err := fastmatch.NewEngine(tbl).Run(
 			fastmatch.Query{Z: "country", X: []string{"bracket"}},
 			fastmatch.Target{Candidate: "greece"},

@@ -394,8 +394,11 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Resu
 	runSpan.SetAttr("executor", opts.Executor.String())
 	runSpan.SetAttr("shards", len(st.shards))
 	defer runSpan.End()
-	if opts.Executor == engine.Scan || opts.Executor == engine.ParallelScan {
-		return st.runScan(ctx, target, began, runSpan)
+	cross, frac := opts.Crossover(st.totalRows, st.groups)
+	runSpan.SetAttr("crossover", cross)
+	runSpan.SetAttr("predicted_fraction", frac)
+	if cross || opts.Executor == engine.Scan || opts.Executor == engine.ParallelScan {
+		return st.runScan(ctx, target, began, runSpan, cross)
 	}
 	if opts.Quality {
 		opts.Params.CollectQuality = true

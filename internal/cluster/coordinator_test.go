@@ -95,6 +95,9 @@ func clusterOptions(exec engine.Executor) engine.Options {
 	return engine.Options{
 		Params:   testParams(),
 		Executor: exec,
+		// The suite's tables are small enough that every sampling run
+		// would cross over to Scan; it tests the distributed sampler.
+		DisableCrossover: true,
 		// Small marking window that divides the chunk size (64 blocks), so
 		// FastMatch tile anchors coincide on both sides of every shard
 		// boundary.
@@ -165,6 +168,9 @@ func TestCoordinatedByteIdentical(t *testing.T) {
 		res, err := single.Run(baseQuery(), engine.Target{Uniform: true}, opts)
 		if err != nil {
 			t.Fatalf("%s single-node: %v", exec, err)
+		}
+		if isSampling(exec) && res.Sampler == nil {
+			t.Fatalf("%s single-node run was answered by Scan, not the sampler", exec)
 		}
 		want := canonical(t, res)
 		for k := 1; k <= 3; k++ {
@@ -420,5 +426,68 @@ func TestCoordinatedAudit(t *testing.T) {
 	partial.Partial = true
 	if _, err := coord.Audit(context.Background(), engine.Target{Uniform: true}, &partial, opts); err == nil {
 		t.Fatal("partial answer must be refused")
+	}
+}
+
+// serialShard records how many segment calls of a shard set are in
+// flight at once.
+type serialShard struct {
+	*planShard
+	inflight, peak *atomic.Int64
+}
+
+func (s serialShard) Segment(ctx context.Context, seg *engine.ShardSegment) (*engine.ShardSegmentResult, error) {
+	n := s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	for {
+		p := s.peak.Load()
+		if n <= p || s.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	return s.planShard.Segment(ctx, seg)
+}
+
+// TestCoordinatedCrossover pins the shared crossover decision: a
+// coordinated sampling run over a table small enough to cross over is
+// answered by a Scan chained through the shards one at a time, and its
+// result bytes equal the single-node crossover's for K in {1, 2, 3}.
+// Progress frames are not compared: a coordinated Scan emits one per
+// shard, a single-node Scan one every few hundred blocks.
+func TestCoordinatedCrossover(t *testing.T) {
+	const rows = 40_000
+	tbl, _ := clusterDataset(t, rows, 1)
+	single := engine.New(tbl)
+	for _, exec := range []engine.Executor{engine.ScanMatch, engine.SyncMatch, engine.FastMatch} {
+		opts := clusterOptions(exec)
+		opts.DisableCrossover = false
+		res, err := single.Run(baseQuery(), engine.Target{Uniform: true}, opts)
+		if err != nil {
+			t.Fatalf("%s single-node: %v", exec, err)
+		}
+		if !res.Crossover {
+			t.Fatalf("%s single-node run did not cross over", exec)
+		}
+		want := canonical(t, res)
+		for k := 1; k <= 3; k++ {
+			t.Run(fmt.Sprintf("%s/k=%d", exec, k), func(t *testing.T) {
+				_, parts := clusterDataset(t, rows, k)
+				var inflight, peak atomic.Int64
+				shards := shardSet(t, parts)
+				for i, sh := range shards {
+					shards[i] = serialShard{planShard: sh.(*planShard), inflight: &inflight, peak: &peak}
+				}
+				cres, err := New(shards...).Run(context.Background(), engine.Target{Uniform: true}, opts)
+				if err != nil {
+					t.Fatalf("coordinated: %v", err)
+				}
+				if got := canonical(t, cres.Result); got != want {
+					t.Fatalf("k=%d crossover result diverges from single node:\n%s\nvs\n%s", k, got, want)
+				}
+				if p := peak.Load(); p != 1 {
+					t.Fatalf("k=%d crossover ran %d shard segments at once, want them chained", k, p)
+				}
+			})
+		}
 	}
 }

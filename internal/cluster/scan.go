@@ -17,8 +17,13 @@ import (
 // engine.RankExact the single-node pass uses. Un-budgeted runs fan out
 // concurrently (bounded by fanoutWindow); budgeted or deadlined runs
 // chain shards sequentially with the residual budget so the stop lands
-// on the same global block a single-node pass would stop at.
-func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, began time.Time, runSpan *trace.Span) (*Result, error) {
+// on the same global block a single-node pass would stop at. A
+// crossover run (a sampling executor sent to Scan by
+// engine.Options.Crossover) chains the shards one at a time too, the way
+// the single-node crossover reads with one worker: a concurrent fan-out
+// would occupy every shard's cores at once for a query whose caller
+// asked for a sampler.
+func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, began time.Time, runSpan *trace.Span, crossover bool) (*Result, error) {
 	params := st.opts.Params
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -66,7 +71,7 @@ func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, be
 		}
 		return nil
 	}
-	if st.sequential() {
+	if st.sequential() || crossover {
 		for _, sr := range st.walk {
 			if sr.dead {
 				continue
@@ -104,7 +109,7 @@ func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, be
 			hists[i] = histogram.New(st.groups)
 		}
 	}
-	res := &engine.Result{Exact: complete, Partial: !complete, IO: io}
+	res := &engine.Result{Exact: complete, Partial: !complete, IO: io, Crossover: crossover}
 	res.TopK, res.Pruned = engine.RankExact(target, params, hists, gb.Drawn, complete, st.labelOf)
 	res.Stats.ChosenK = len(res.TopK)
 	res.Stats.PrunedCandidates = len(res.Pruned)

@@ -51,10 +51,24 @@ func canonicalResult(t testing.TB, res *Result) string {
 	return string(b)
 }
 
+// requireSampled fails the test when a sampling executor's run came back
+// without sampler diagnostics, i.e. Scan answered it: the suites calling
+// it exist to test the sampler, and a crossover would make them compare
+// Scan with Scan.
+func requireSampled(t testing.TB, exec Executor, res *Result) {
+	t.Helper()
+	if exec != Scan && exec != ParallelScan && res.Sampler == nil {
+		t.Fatalf("%s run was answered by Scan, not the sampler", exec)
+	}
+}
+
 func equivOptions(exec Executor, nb int) Options {
 	return Options{
 		Params:   testParams(),
 		Executor: exec,
+		// The test tables are small enough that every sampling run
+		// would cross over to Scan; the suites here test the sampler.
+		DisableCrossover: true,
 		// Deterministic async marking: one window spans all blocks.
 		Lookahead:  nb + 1,
 		StartBlock: -1,
@@ -105,6 +119,7 @@ func TestBackendsAreByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				requireSampled(t, exec, a)
 				if a.IO != b.IO {
 					t.Fatalf("IOStats diverge: inmem %+v, mmap %+v", a.IO, b.IO)
 				}

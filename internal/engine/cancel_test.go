@@ -115,12 +115,13 @@ func cancelAfterRows(cancel context.CancelFunc, n int64) func(int) bool {
 
 func cancelOptions(exec Executor, nb int) Options {
 	return Options{
-		Params:     testParams(),
-		Executor:   exec,
-		Lookahead:  nb + 1,
-		StartBlock: -1,
-		Seed:       11,
-		Workers:    4,
+		Params:           testParams(),
+		Executor:         exec,
+		DisableCrossover: true,
+		Lookahead:        nb + 1,
+		StartBlock:       -1,
+		Seed:             11,
+		Workers:          4,
 	}
 }
 
@@ -353,9 +354,11 @@ func TestProgressSequenceDeterministic(t *testing.T) {
 					p.Elapsed = 0
 					got = append(got, p)
 				}
-				if _, err := eng.Run(baseQuery(), Target{Uniform: true}, opts); err != nil {
+				res, err := eng.Run(baseQuery(), Target{Uniform: true}, opts)
+				if err != nil {
 					t.Fatal(err)
 				}
+				requireSampled(t, exec, res)
 				return got
 			}
 			a, b := collect(), collect()
@@ -393,6 +396,7 @@ func TestProgressMatchesPlainRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireSampled(t, exec, plain)
 		if canonicalResult(t, plain) != canonicalResult(t, observed) {
 			t.Fatalf("%v: OnProgress changed the result", exec)
 		}

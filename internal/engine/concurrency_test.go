@@ -37,7 +37,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 				params := testParams()
 				params.Sigma = 0.001
 				opts := Options{
-					Params: params, Executor: exec,
+					Params: params, Executor: exec, DisableCrossover: true,
 					Seed: int64(g*100 + r), StartBlock: -1,
 					Lookahead: 32, Workers: 3,
 				}
@@ -93,7 +93,7 @@ func TestConcurrentSharedPlan(t *testing.T) {
 				exec = FastMatch
 			}
 			results[g], errs[g] = p.RunWithTarget(target, Options{
-				Params: testParams(), Executor: exec,
+				Params: testParams(), Executor: exec, DisableCrossover: true,
 				Seed: int64(g), StartBlock: -1, Lookahead: 16, Workers: 2,
 			})
 		}(g)

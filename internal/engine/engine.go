@@ -144,8 +144,15 @@ type Options struct {
 	// Trace it is purely observational — the answer, sampling schedule,
 	// and I/O are unchanged, and it is excluded from Options.Fingerprint.
 	// The exact Scan/ParallelScan executors ignore it (their answers are
-	// exact; there is no convergence to report).
+	// exact; there is no convergence to report), and so does a run the
+	// crossover sends to Scan.
 	Quality bool
+	// DisableCrossover keeps a sampling executor sampling even when
+	// Options.Crossover predicts it would read most of the table. The
+	// crossover changes which executor answers (and so the result's
+	// statistics and I/O), so the knob is part of Options.Fingerprint.
+	// It exists to measure the raw samplers, as the paper does.
+	DisableCrossover bool
 }
 
 // Result is a complete query answer.
@@ -164,6 +171,10 @@ type Result struct {
 	Partial bool
 	// Stats carries HistSim diagnostics (zero-valued for Scan).
 	Stats core.RunStats
+	// Crossover reports that a sampling executor's run was answered by
+	// the exact sequential Scan instead (see Options.Crossover): the
+	// answer is exact and equals an explicit Scan run's.
+	Crossover bool `json:",omitempty"`
 	// IO carries block-level I/O counters.
 	IO IOStats
 	// Duration is the wall-clock time of the run (excluding target
@@ -360,7 +371,10 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 	runSpan := opts.Trace.StartAt("run", began)
 	runSpan.SetAttr("executor", opts.Executor.String())
 	defer runSpan.End()
-	if opts.Executor == Scan || opts.Executor == ParallelScan {
+	cross, frac := opts.Crossover(int64(p.engine.src.NumRows()), p.grp.groups())
+	runSpan.SetAttr("crossover", cross)
+	runSpan.SetAttr("predicted_fraction", frac)
+	if cross || opts.Executor == Scan || opts.Executor == ParallelScan {
 		workers := 1
 		if opts.Executor == ParallelScan {
 			workers = opts.Workers
@@ -377,6 +391,7 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 		}
 		res.Duration = time.Since(began)
 		res.GroupLabels = groupLabels(p.grp)
+		res.Crossover = cross
 		return res, err
 	}
 	if opts.Quality {

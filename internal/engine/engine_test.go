@@ -82,7 +82,7 @@ func TestApproximateExecutorsMatchScan(t *testing.T) {
 			params := testParams()
 			truth := scanGroundTruth(t, e, baseQuery(), Target{Uniform: true}, params)
 			res, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-				Params: params, Executor: exec, Seed: 7, StartBlock: -1, Lookahead: 32,
+				Params: params, Executor: exec, DisableCrossover: true, Seed: 7, StartBlock: -1, Lookahead: 32,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -135,7 +135,7 @@ func TestCandidateTarget(t *testing.T) {
 	z, _ := tbl.Column("Z")
 	label := z.Dict.Value(0)
 	res, err := e.Run(baseQuery(), Target{Candidate: label}, Options{
-		Params: testParams(), Executor: FastMatch, Seed: 1,
+		Params: testParams(), Executor: FastMatch, DisableCrossover: true, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestMultiXComposite(t *testing.T) {
 	e := New(tbl)
 	q := Query{Z: "Z", X: []string{"X", "W"}}
 	res, err := e.Run(q, Target{Uniform: true}, Options{
-		Params: testParams(), Executor: FastMatch, Seed: 2,
+		Params: testParams(), Executor: FastMatch, DisableCrossover: true, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestBinnedXGroups(t *testing.T) {
 	}
 	q := Query{Z: "Z", XMeasure: "M", XBins: binner}
 	res, err := e.Run(q, Target{Uniform: true}, Options{
-		Params: testParams(), Executor: ScanMatch, Seed: 3,
+		Params: testParams(), Executor: ScanMatch, DisableCrossover: true, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestUnknownDomainDummyCandidate(t *testing.T) {
 	q := baseQuery()
 	q.KnownCandidates = known
 	res, err := e.Run(q, Target{Uniform: true}, Options{
-		Params: testParams(), Executor: FastMatch, Seed: 4,
+		Params: testParams(), Executor: FastMatch, DisableCrossover: true, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestPrunedLowSelectivityCandidates(t *testing.T) {
 	params.Sigma = 0.004
 	params.Stage1Samples = 30_000
 	res, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-		Params: params, Executor: FastMatch, Seed: 5,
+		Params: params, Executor: FastMatch, DisableCrossover: true, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,14 +317,14 @@ func TestFastMatchSkipsBlocks(t *testing.T) {
 	params := testParams()
 	params.Epsilon = 0.05
 	resFM, err := e1.Run(baseQuery(), Target{Uniform: true}, Options{
-		Params: params, Executor: FastMatch, Seed: 6, Lookahead: 64,
+		Params: params, Executor: FastMatch, DisableCrossover: true, Seed: 6, Lookahead: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2 := New(tbl)
 	resSM, err := e2.Run(baseQuery(), Target{Uniform: true}, Options{
-		Params: params, Executor: ScanMatch, Seed: 6,
+		Params: params, Executor: ScanMatch, DisableCrossover: true, Seed: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestDeterministicWithFixedSeed(t *testing.T) {
 	run := func() *Result {
 		e := New(tbl)
 		res, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-			Params: testParams(), Executor: ScanMatch, Seed: 9, StartBlock: 5,
+			Params: testParams(), Executor: ScanMatch, DisableCrossover: true, Seed: 9, StartBlock: 5,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -392,7 +392,7 @@ func TestPredicateCandidates(t *testing.T) {
 	params.Sigma = 0 // predicates can be rare; keep them all
 	params.Stage1Samples = 0
 	res, err := e.Run(qp, Target{Uniform: true}, Options{
-		Params: params, Executor: FastMatch, Seed: 7,
+		Params: params, Executor: FastMatch, DisableCrossover: true, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ func TestKRangeThroughEngine(t *testing.T) {
 	params.KRange.KMin = 2
 	params.KRange.KMax = 7
 	res, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-		Params: params, Executor: FastMatch, Seed: 3,
+		Params: params, Executor: FastMatch, DisableCrossover: true, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestEpsilonReconstructThroughEngine(t *testing.T) {
 	params.Epsilon = 0.2
 	params.EpsilonReconstruct = 0.08
 	res, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-		Params: params, Executor: FastMatch, Seed: 4,
+		Params: params, Executor: FastMatch, DisableCrossover: true, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestL2MetricThroughEngine(t *testing.T) {
 	params.Metric = histogram.MetricL2
 	params.Epsilon = 0.08
 	res, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-		Params: params, Executor: FastMatch, Seed: 5,
+		Params: params, Executor: FastMatch, DisableCrossover: true, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestRoundBudgetThroughOptions(t *testing.T) {
 	params := testParams()
 	params.RoundBudget = -1 // paper's raw Equation (1)
 	res, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-		Params: params, Executor: ScanMatch, Seed: 6,
+		Params: params, Executor: ScanMatch, DisableCrossover: true, Seed: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestMaxRoundsParameterThroughEngine(t *testing.T) {
 	// With only one round allowed the run either terminates in one round
 	// or errors — both acceptable; it must not hang.
 	_, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-		Params: params, Executor: FastMatch, Seed: 7,
+		Params: params, Executor: FastMatch, DisableCrossover: true, Seed: 7,
 	})
 	if err == nil {
 		return

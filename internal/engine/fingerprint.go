@@ -134,5 +134,6 @@ func (o Options) Fingerprint() string {
 	// do change.
 	w.int("noskip", boolInt(o.DisableBlockSkip))
 	w.int("nokern", boolInt(o.DisableScanKernels))
+	w.int("nocross", boolInt(o.DisableCrossover))
 	return w.sb.String()
 }

@@ -76,7 +76,7 @@ func TestMeasureBiasedViewRunsQueries(t *testing.T) {
 	params.Epsilon = 0.15
 	// Target: z0's SUM distribution = (0.75, 0.25).
 	res, err := e.Run(Query{Z: "Z", X: []string{"X"}},
-		Target{Counts: []float64{3, 1}}, Options{Params: params, Executor: FastMatch})
+		Target{Counts: []float64{3, 1}}, Options{Params: params, Executor: FastMatch, DisableCrossover: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,6 +37,53 @@ func DefaultOptions(totalRows int) Options {
 	}
 }
 
+// crossoverThreshold is the predicted read fraction at which
+// Options.Crossover sends a sampling executor to the exact Scan. Once
+// the sampler is expected to read half the table, its per-tuple overhead
+// over the kernelized scan outweighs the tuples it saves.
+const crossoverThreshold = 0.5
+
+// Crossover decides, from the options and the table's shape alone,
+// whether a sampling executor should answer with the exact sequential
+// Scan instead. It returns the decision and the predicted fraction of
+// the table's rows the sampler would read:
+//
+//	max(m/N, n'/max(σN, 1)),  n' = Metric.PlanSamples(G, ε/2, δ/6)
+//
+// m/N is stage 1's share of the table. n' is round 1's Equation-(1)
+// demand at the worst margin planRound allows (ε'_i ≥ ε/2, δ_upper =
+// δ/6 in the first round), so n'/(σN) is the share of its own rows a
+// candidate at the σ floor must yield: a candidate that rare is spread
+// over the whole table, and drawing that share of its rows means
+// reading that share of the table. The decision fires when the fraction
+// is at least crossoverThreshold and the run is eligible: a sampling
+// executor, DisableCrossover unset, no RowBudget and no Deadline (a
+// run cut short returns a partial answer that depends on the
+// executor's read order: the sampler's starts at a random block, Scan's
+// is a prefix of storage order), and no KRange (Scan ranks KMax
+// matches, while HistSim picks the widest-gap k). A crossover run
+// cancelled through its context, such as a server's per-table timeout,
+// likewise returns the storage-order prefix Scan has read so far. An
+// exact answer meets Guarantees 1 and 2 trivially, so the switch never
+// weakens a completed result. No statistics are consulted: the decision
+// is a deterministic function of (rows, groups, options).
+func (o Options) Crossover(rows int64, groups int) (bool, float64) {
+	p := o.Params
+	frac := 1.0
+	if rows > 0 {
+		n := float64(rows)
+		need := float64(p.Metric.PlanSamples(groups, p.Epsilon/2, p.Delta/6))
+		frac = math.Max(float64(p.Stage1Samples)/n, need/math.Max(p.Sigma*n, 1))
+	}
+	eligible := !o.DisableCrossover && o.RowBudget == 0 && o.Deadline.IsZero() && p.KRange.KMax == 0
+	switch o.Executor {
+	case ScanMatch, SyncMatch, FastMatch:
+	default:
+		eligible = false
+	}
+	return eligible && frac >= crossoverThreshold, frac
+}
+
 // InvalidOptionsError reports a nonsensical Options value, naming the
 // offending field. It is returned (wrapped or not) by Options.Validate and
 // by every Run entry point before any sampling happens, so a malformed

@@ -125,6 +125,11 @@ func TestOptionsFingerprintDistinguishesRuns(t *testing.T) {
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("executor change not reflected in fingerprint")
 	}
+	d := validOptions()
+	d.DisableCrossover = true
+	if a.Fingerprint() == d.Fingerprint() {
+		t.Fatal("DisableCrossover not reflected in fingerprint")
+	}
 }
 
 func TestTargetFingerprint(t *testing.T) {

@@ -54,6 +54,7 @@ func TestWorkerCountByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
+					requireSampled(t, exec, res)
 					got := canonicalResult(t, res)
 					if workers == 1 {
 						wantRes, wantIO, wantSeq = got, res.IO, seq
@@ -97,6 +98,7 @@ func TestWorkerCountByteIdenticalShortLookahead(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
+				requireSampled(t, FastMatch, res)
 				got := canonicalResult(t, res)
 				if workers == 1 {
 					want = got
@@ -132,6 +134,7 @@ func TestWorkerCountByteIdenticalBudgetPartial(t *testing.T) {
 				if res == nil || !res.Partial {
 					t.Fatalf("workers=%d: no partial result", workers)
 				}
+				requireSampled(t, exec, res)
 				got := canonicalResult(t, res)
 				if workers == 1 {
 					wantRes, wantSeq = got, seq
@@ -174,6 +177,7 @@ func TestWorkerCountByteIdenticalCancelPartial(t *testing.T) {
 				if res == nil || !res.Partial {
 					t.Fatalf("workers=%d: no partial result", workers)
 				}
+				requireSampled(t, exec, res)
 				got := canonicalResult(t, res)
 				if workers == 1 {
 					want = got

@@ -31,6 +31,7 @@ func TestQualityByteIdenticalAcrossExecutorsAndBackends(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					requireSampled(t, exec, plain)
 					if got, want := canonicalResult(t, collected), canonicalResult(t, plain); got != want {
 						t.Fatalf("quality-collecting run diverges:\n%s\nvs\n%s", got, want)
 					}

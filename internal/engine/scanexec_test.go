@@ -225,7 +225,7 @@ func TestPlanReuse(t *testing.T) {
 	// FastMatch is excluded from the strict comparison: its asynchronous
 	// marker makes the set of blocks read timing-dependent.
 	for _, exec := range []Executor{Scan, ParallelScan, ScanMatch} {
-		opts := Options{Params: testParams(), Executor: exec, Seed: 3, Lookahead: 32}
+		opts := Options{Params: testParams(), Executor: exec, DisableCrossover: true, Seed: 3, Lookahead: 32}
 		fromPlan, err := p.RunWithTarget(target, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +244,7 @@ func TestPlanReuse(t *testing.T) {
 		}
 	}
 	if _, err := p.RunWithTarget(target, Options{
-		Params: testParams(), Executor: FastMatch, Seed: 3, Lookahead: 32,
+		Params: testParams(), Executor: FastMatch, DisableCrossover: true, Seed: 3, Lookahead: 32,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -155,6 +155,7 @@ func TestSkipOnOffByteIdentical(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", c.name, err)
 						}
+						requireSampled(t, exec, res)
 						results[i] = res
 					}
 					want := canonicalResultNoIO(t, results[len(combos)-1]) // scalar full-scan reference

@@ -38,6 +38,7 @@ func TestTraceByteIdenticalAndIOSums(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					requireSampled(t, exec, plain)
 					tr.End()
 					if got, want := canonicalResult(t, traced), canonicalResult(t, plain); got != want {
 						t.Fatalf("traced run diverges from untraced:\n%s\nvs\n%s", got, want)
@@ -102,6 +103,12 @@ func TestTraceSpanShape(t *testing.T) {
 			if got := rs.Attrs["executor"]; got != exec.String() {
 				t.Fatalf("%s: executor attr = %v", exec, got)
 			}
+			if got := rs.Attrs["crossover"]; got != false {
+				t.Fatalf("%s: crossover attr = %v with DisableCrossover set", exec, got)
+			}
+			if f, ok := rs.Attrs["predicted_fraction"].(float64); !ok || f <= 0 {
+				t.Fatalf("%s: predicted_fraction attr = %v", exec, rs.Attrs["predicted_fraction"])
+			}
 			if snap.Find("resolve_target") == nil {
 				t.Fatalf("%s: no resolve_target span", exec)
 			}
@@ -143,6 +150,7 @@ func TestTraceSpanShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireSampled(t, exec, res)
 			tr.End()
 			snap := tr.Snapshot()
 			if snap.Find("stage1") == nil {

@@ -104,11 +104,11 @@ func TestEngineSequentialQueryReuse(t *testing.T) {
 	q1 := Query{Z: "Z", X: []string{"X"}}
 	q2 := Query{Z: "W", X: []string{"X"}}
 	params := testParams()
-	r1, err := e.Run(q1, Target{Uniform: true}, Options{Params: params, Executor: FastMatch, Seed: 1})
+	r1, err := e.Run(q1, Target{Uniform: true}, Options{Params: params, Executor: FastMatch, DisableCrossover: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Run(q2, Target{Uniform: true}, Options{Params: params, Executor: FastMatch, Seed: 2})
+	r2, err := e.Run(q2, Target{Uniform: true}, Options{Params: params, Executor: FastMatch, DisableCrossover: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,16 @@ type Table4Row struct {
 	Speedups  map[string]float64       // executor name -> Scan/exec
 	Violated  bool                     // any guarantee violation observed
 	DeltaDist map[string]float64       // executor name -> Δd
+	Crossover map[string]bool          // executor name -> answered by Scan
 }
 
 // approxExecutors are the sampling-based approaches compared against Scan.
 var approxExecutors = []engine.Executor{engine.ScanMatch, engine.SyncMatch, engine.FastMatch}
 
 // Table4 regenerates Table 4: average speedups and latencies of
-// ScanMatch/SyncMatch/FastMatch over Scan for every query.
+// ScanMatch/SyncMatch/FastMatch over Scan for every query. The crossover
+// stays on, as in serving: a sampling run predicted to read most of the
+// table is answered by Scan, and the row records which executors were.
 func Table4(w *Workspace, reps int) ([]Table4Row, error) {
 	var rows []Table4Row
 	for _, q := range Queries {
@@ -33,6 +36,7 @@ func Table4(w *Workspace, reps int) ([]Table4Row, error) {
 			Times:     make(map[string]time.Duration),
 			Speedups:  make(map[string]float64),
 			DeltaDist: make(map[string]float64),
+			Crossover: make(map[string]bool),
 		}
 		scanTime, _, err := w.TimedRun(q.ID, engine.Scan, RunOverrides{}, reps)
 		if err != nil {
@@ -46,6 +50,7 @@ func Table4(w *Workspace, reps int) ([]Table4Row, error) {
 			}
 			row.Times[exec.String()] = avg
 			row.Speedups[exec.String()] = float64(scanTime) / float64(avg)
+			row.Crossover[exec.String()] = res.Crossover
 			dd, err := DeltaD(w, q.ID, res)
 			if err != nil {
 				return nil, err
@@ -62,13 +67,19 @@ func Table4(w *Workspace, reps int) ([]Table4Row, error) {
 	return rows, nil
 }
 
-// FprintTable4 renders Table 4 in the paper's layout.
+// FprintTable4 renders Table 4 in the paper's layout, marking with "*"
+// the runs the crossover answered with Scan.
 func FprintTable4(out io.Writer, rows []Table4Row) {
 	fmt.Fprintf(out, "%-12s %10s | %22s %22s %22s | %s\n",
 		"Query", "Scan(s)", "ScanMatch", "SyncMatch", "FastMatch", "guarantees")
+	crossed := false
 	for _, r := range rows {
 		cell := func(name string) string {
-			return fmt.Sprintf("%6.2fx (%8.4fs)", r.Speedups[name], r.Times[name].Seconds())
+			mark := " "
+			if r.Crossover[name] {
+				mark, crossed = "*", true
+			}
+			return fmt.Sprintf("%6.2fx (%8.4fs)%s", r.Speedups[name], r.Times[name].Seconds(), mark)
 		}
 		ok := "ok"
 		if r.Violated {
@@ -77,6 +88,9 @@ func FprintTable4(out io.Writer, rows []Table4Row) {
 		fmt.Fprintf(out, "%-12s %9.4fs | %22s %22s %22s | %s\n",
 			r.Query, r.ScanTime.Seconds(),
 			cell("ScanMatch"), cell("SyncMatch"), cell("FastMatch"), ok)
+	}
+	if crossed {
+		fmt.Fprintln(out, "* crossed over: predicted to read most of the table, answered by the exact Scan")
 	}
 }
 
@@ -88,13 +102,15 @@ type SweepPoint struct {
 }
 
 // Figure8 regenerates Figure 8 (and, via the DeltaD fields, Figure 9):
-// the effect of ε on wall-clock latency and on Δd, per query.
+// the effect of ε on wall-clock latency and on Δd, per query. Like
+// Figures 10–11, GuaranteeCheck and SigmaZero it measures the samplers
+// themselves, so its runs disable the crossover.
 func Figure8(w *Workspace, queryID string, epsilons []float64, reps int) ([]SweepPoint, error) {
 	var points []SweepPoint
 	for _, eps := range epsilons {
 		p := SweepPoint{X: eps, Times: make(map[string]time.Duration), DeltaD: make(map[string]float64)}
 		for _, exec := range approxExecutors {
-			avg, res, err := w.TimedRun(queryID, exec, RunOverrides{Epsilon: eps, Seed: 11}, reps)
+			avg, res, err := w.TimedRun(queryID, exec, RunOverrides{Epsilon: eps, Seed: 11, DisableCrossover: true}, reps)
 			if err != nil {
 				return nil, fmt.Errorf("%s ε=%g %v: %w", queryID, eps, exec, err)
 			}
@@ -115,7 +131,7 @@ func Figure8(w *Workspace, queryID string, epsilons []float64, reps int) ([]Swee
 func Figure10(w *Workspace, queryID string, lookaheads []int, reps int) ([]SweepPoint, error) {
 	var points []SweepPoint
 	for _, la := range lookaheads {
-		avg, _, err := w.TimedRun(queryID, engine.FastMatch, RunOverrides{Lookahead: la, Seed: 13}, reps)
+		avg, _, err := w.TimedRun(queryID, engine.FastMatch, RunOverrides{Lookahead: la, Seed: 13, DisableCrossover: true}, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s lookahead=%d: %w", queryID, la, err)
 		}
@@ -133,7 +149,7 @@ func Figure11(w *Workspace, queryID string, deltas []float64, reps int) ([]Sweep
 	for _, d := range deltas {
 		p := SweepPoint{X: d, Times: make(map[string]time.Duration)}
 		for _, exec := range approxExecutors {
-			avg, _, err := w.TimedRun(queryID, exec, RunOverrides{Delta: d, Seed: 17}, reps)
+			avg, _, err := w.TimedRun(queryID, exec, RunOverrides{Delta: d, Seed: 17, DisableCrossover: true}, reps)
 			if err != nil {
 				return nil, fmt.Errorf("%s δ=%g %v: %w", queryID, d, exec, err)
 			}
@@ -301,7 +317,7 @@ func ViolatesGuarantees(w *Workspace, queryID string, res *engine.Result, eps fl
 func GuaranteeCheck(w *Workspace, runs int) (violations, total int, err error) {
 	for _, q := range Queries {
 		for r := 0; r < runs; r++ {
-			res, err := w.Run(q.ID, engine.FastMatch, RunOverrides{Seed: int64(1000*r + 7)})
+			res, err := w.Run(q.ID, engine.FastMatch, RunOverrides{Seed: int64(1000*r + 7), DisableCrossover: true})
 			if err != nil {
 				return 0, 0, fmt.Errorf("%s run %d: %w", q.ID, r, err)
 			}
@@ -333,11 +349,11 @@ func SigmaZero(w *Workspace, reps int) ([]SigmaZeroRow, error) {
 	var rows []SigmaZeroRow
 	for _, qid := range []string{"taxi-q1", "taxi-q2"} {
 		for _, exec := range []engine.Executor{engine.ScanMatch, engine.FastMatch} {
-			with, _, err := w.TimedRun(qid, exec, RunOverrides{Seed: 3}, reps)
+			with, _, err := w.TimedRun(qid, exec, RunOverrides{Seed: 3, DisableCrossover: true}, reps)
 			if err != nil {
 				return nil, err
 			}
-			zero, _, err := w.TimedRun(qid, exec, RunOverrides{SigmaZero: true, Seed: 3}, reps)
+			zero, _, err := w.TimedRun(qid, exec, RunOverrides{SigmaZero: true, Seed: 3, DisableCrossover: true}, reps)
 			if err != nil {
 				return nil, err
 			}

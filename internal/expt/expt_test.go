@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -68,7 +69,7 @@ func TestWorkspaceRunAllQueriesAllExecutors(t *testing.T) {
 	w := smallWorkspace(t)
 	for _, q := range Queries {
 		for _, exec := range []engine.Executor{engine.Scan, engine.ScanMatch, engine.SyncMatch, engine.FastMatch} {
-			res, err := w.Run(q.ID, exec, RunOverrides{Seed: 2})
+			res, err := w.Run(q.ID, exec, RunOverrides{Seed: 2, DisableCrossover: true})
 			if err != nil {
 				t.Fatalf("%s %v: %v", q.ID, exec, err)
 			}
@@ -126,9 +127,12 @@ func TestApproximateRunsMeetGuarantees(t *testing.T) {
 	}
 	w := smallWorkspace(t)
 	for _, qid := range []string{"flights-q1", "police-q2"} {
-		res, err := w.Run(qid, engine.FastMatch, RunOverrides{Seed: 9})
+		res, err := w.Run(qid, engine.FastMatch, RunOverrides{Seed: 9, DisableCrossover: true})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Sampler == nil {
+			t.Fatalf("%s: FastMatch run was answered by Scan", qid)
 		}
 		viol, err := ViolatesGuarantees(w, qid, res, w.Cfg.Epsilon)
 		if err != nil {
@@ -230,16 +234,74 @@ func TestTable4Small(t *testing.T) {
 	if len(rows) != len(Queries) {
 		t.Fatalf("table 4 rows = %d", len(rows))
 	}
+	crossed := false
 	for _, r := range rows {
 		for _, exec := range []string{"ScanMatch", "SyncMatch", "FastMatch"} {
 			if r.Times[exec] <= 0 {
 				t.Errorf("%s %s: no time recorded", r.Query, exec)
 			}
+			crossed = crossed || r.Crossover[exec]
 		}
 	}
 	var buf bytes.Buffer
 	FprintTable4(&buf, rows)
 	if !strings.Contains(buf.String(), "taxi-q2") {
 		t.Fatal("Table 4 rendering missing rows")
+	}
+	// 80k rows are far too few for the samplers: Table 4 keeps the
+	// crossover on and marks the runs it answered with Scan.
+	if !crossed || !strings.Contains(buf.String(), "* crossed over") {
+		t.Fatalf("Table 4 shows no crossover at 80k rows:\n%s", buf.String())
+	}
+}
+
+// TestCrossoverDecisionTable pins the crossover's predicted read fraction
+// under the harness parameters. Table 3 crosses over at 1M rows (FastMatch
+// 18–64 ms against Scan 2.3–6.7 ms on a 2-vCPU box) and at 4M rows
+// (FastMatch 3–10× slower than Scan); flights-q1 crosses over at 8M rows
+// (37 ms against 15 ms) and keeps sampling at 16M (42 ms against 44 ms).
+func TestCrossoverDecisionTable(t *testing.T) {
+	w := smallWorkspace(t)
+	cfg := Config{}.WithDefaults()
+	fraction := func(id string, rows int64) (bool, float64) {
+		spec, err := QueryByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target, err := w.Target(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := engine.Options{
+			Params:   cfg.runParams(spec.K, target.Groups(), rows, RunOverrides{}),
+			Executor: engine.FastMatch,
+		}
+		return opts.Crossover(rows, target.Groups())
+	}
+	for _, tc := range []struct {
+		rows     int64
+		min, max float64
+	}{{1_000_000, 4.9, 23.2}, {4_000_000, 1.2, 5.8}} {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, q := range Queries {
+			fire, f := fraction(q.ID, tc.rows)
+			if !fire {
+				t.Errorf("%s at %d rows keeps sampling (fraction %.3f)", q.ID, tc.rows, f)
+			}
+			lo, hi = math.Min(lo, f), math.Max(hi, f)
+		}
+		if math.Round(lo*10)/10 != tc.min || math.Round(hi*10)/10 != tc.max {
+			t.Errorf("Table 3 at %d rows: fractions %.2f–%.2f, want %.1f–%.1f", tc.rows, lo, hi, tc.min, tc.max)
+		}
+	}
+	for _, tc := range []struct {
+		rows int64
+		want float64
+		fire bool
+	}{{8_000_000, 0.61, true}, {16_000_000, 0.305, false}} {
+		fire, f := fraction("flights-q1", tc.rows)
+		if fire != tc.fire || math.Abs(f-tc.want) > 0.005 {
+			t.Errorf("flights-q1 at %d rows: crossover %v fraction %.4f, want %v %.3f", tc.rows, fire, f, tc.fire, tc.want)
+		}
 	}
 }

@@ -250,11 +250,17 @@ type RunOverrides struct {
 	Seed int64
 	// MaxRounds caps stage-2 rounds when positive.
 	MaxRounds int
+	// DisableCrossover keeps the sampling executors sampling where the
+	// engine would answer with the exact Scan (engine.Options.Crossover).
+	// The zero value keeps the crossover on, as the engine's default;
+	// experiments that measure sampler behaviour set it.
+	DisableCrossover bool
 }
 
-// params builds core.Params for a run.
-func (w *Workspace) params(st *queryState, ov RunOverrides) core.Params {
-	eps := w.Cfg.Epsilon
+// runParams builds core.Params for a run of a k-match query with the
+// given group count over rows tuples.
+func (c Config) runParams(k, groups int, rows int64, ov RunOverrides) core.Params {
+	eps := c.Epsilon
 	if ov.Epsilon > 0 {
 		eps = ov.Epsilon
 	} else {
@@ -263,7 +269,7 @@ func (w *Workspace) params(st *queryState, ov RunOverrides) core.Params {
 		// group counts: binary-group queries get a much tighter bound at
 		// the same I/O budget. Explicit overrides (the Figure-8 sweep)
 		// bypass this.
-		eps *= math.Sqrt(float64(st.target.Groups()) / 24)
+		eps *= math.Sqrt(float64(groups) / 24)
 		if eps < 0.06 {
 			eps = 0.06
 		}
@@ -271,11 +277,11 @@ func (w *Workspace) params(st *queryState, ov RunOverrides) core.Params {
 			eps = 0.4
 		}
 	}
-	delta := w.Cfg.Delta
+	delta := c.Delta
 	if ov.Delta > 0 {
 		delta = ov.Delta
 	}
-	sigma := w.Cfg.Sigma
+	sigma := c.Sigma
 	if ov.Sigma > 0 {
 		sigma = ov.Sigma
 	}
@@ -285,7 +291,7 @@ func (w *Workspace) params(st *queryState, ov RunOverrides) core.Params {
 	// Stage-1 sample: enough for the rarity test to see ~100 expected
 	// tuples at the σ boundary, without the paper's half-million floor
 	// (0.08% of their data) becoming a fixed 5–10% tax at our scale.
-	m := int(st.total / 40)
+	m := int(rows / 40)
 	if m > 500_000 {
 		m = 500_000
 	}
@@ -293,7 +299,7 @@ func (w *Workspace) params(st *queryState, ov RunOverrides) core.Params {
 		m = 20_000
 	}
 	return core.Params{
-		K:             st.spec.K,
+		K:             k,
 		Epsilon:       eps,
 		Delta:         delta,
 		Sigma:         sigma,
@@ -317,11 +323,12 @@ func (w *Workspace) Run(queryID string, exec engine.Executor, ov RunOverrides) (
 		lookahead = ov.Lookahead
 	}
 	return st.plan.RunWithTarget(st.target, engine.Options{
-		Params:     w.params(st, ov),
-		Executor:   exec,
-		Lookahead:  lookahead,
-		StartBlock: -1,
-		Seed:       ov.Seed + w.Cfg.RunSeed,
+		Params:           w.Cfg.runParams(st.spec.K, st.target.Groups(), st.total, ov),
+		Executor:         exec,
+		Lookahead:        lookahead,
+		StartBlock:       -1,
+		Seed:             ov.Seed + w.Cfg.RunSeed,
+		DisableCrossover: ov.DisableCrossover,
 	})
 }
 

@@ -22,7 +22,7 @@ func BenchmarkClusterQuery(b *testing.B) {
 			Table:   "fixture",
 			Query:   QuerySpec{Z: "Z", X: []string{"X"}},
 			Target:  TargetSpec{Uniform: true},
-			Options: &OptionsSpec{Executor: "scanmatch", Seed: &seed, Lookahead: &lookahead},
+			Options: &OptionsSpec{Executor: "scanmatch", Seed: &seed, Lookahead: &lookahead, DisableCrossover: true},
 		}
 		body, err := json.Marshal(req)
 		if err != nil {

@@ -89,17 +89,29 @@ func postClusterQuery(t testing.TB, url string, req QueryRequest) (int, clusterR
 
 // TestCoordinatedHTTPByteIdentical proves the serving-layer contract:
 // a coordinated answer's result bytes — blocking, streamed, and cached —
-// are byte-identical to a single node serving the unsplit table.
+// are byte-identical to a single node serving the unsplit table. The
+// fixture is small enough that sampling runs cross over to Scan, so each
+// sampling executor runs once with the crossover disabled (the sampler)
+// and once with it on (both paths must flag the crossover alike).
 func TestCoordinatedHTTPByteIdentical(t *testing.T) {
 	fx := newClusterFixture(t, 3, Config{})
 	seed := int64(11)
 	lookahead := 8
-	for _, exec := range []string{"scan", "scanmatch", "syncmatch", "fastmatch"} {
+	modes := []struct {
+		exec    string
+		noCross bool
+	}{{"scan", false}, {"scanmatch", true}, {"syncmatch", true}, {"fastmatch", true}, {"scanmatch", false}, {"fastmatch", false}}
+	for _, m := range modes {
+		exec := m.exec
+		if !m.noCross && exec != "scan" {
+			exec += "+crossover"
+		}
 		req := QueryRequest{
-			Table:   "fixture",
-			Query:   QuerySpec{Z: "Z", X: []string{"X"}},
-			Target:  TargetSpec{Uniform: true},
-			Options: &OptionsSpec{Executor: exec, Seed: &seed, Lookahead: &lookahead},
+			Table:  "fixture",
+			Query:  QuerySpec{Z: "Z", X: []string{"X"}},
+			Target: TargetSpec{Uniform: true},
+			Options: &OptionsSpec{Executor: m.exec, Seed: &seed, Lookahead: &lookahead,
+				DisableCrossover: m.noCross},
 		}
 		status, single := postQuery(t, fx.single.URL, req)
 		if status != http.StatusOK {
@@ -112,6 +124,9 @@ func TestCoordinatedHTTPByteIdentical(t *testing.T) {
 		if !bytes.Equal(coord.Result, single.Result) {
 			t.Errorf("%s: coordinated result differs from single node\ncoord:  %s\nsingle: %s",
 				exec, coord.Result, single.Result)
+		}
+		if crossed := bytes.Contains(single.Result, []byte(`"crossover":true`)); crossed != (exec != m.exec) {
+			t.Errorf("%s: crossover flag %v in %s", exec, crossed, single.Result)
 		}
 		if coord.Degraded || len(coord.MissingShards) != 0 {
 			t.Errorf("%s: healthy cluster reported degraded=%v missing=%v", exec, coord.Degraded, coord.MissingShards)
@@ -230,7 +245,7 @@ func TestCoordinatedHTTPAudit(t *testing.T) {
 		Table:   "fixture",
 		Query:   QuerySpec{Z: "Z", X: []string{"X"}},
 		Target:  TargetSpec{Uniform: true},
-		Options: &OptionsSpec{Executor: "syncmatch", Seed: &seed},
+		Options: &OptionsSpec{Executor: "syncmatch", Seed: &seed, DisableCrossover: true},
 	}
 	status, _ := postClusterQuery(t, fx.coordTS.URL, req)
 	if status != http.StatusOK {

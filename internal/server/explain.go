@@ -19,6 +19,12 @@ type ExplainResponse struct {
 	PlanCached bool `json:"plan_cached"`
 	// Executor names the executor the request would run.
 	Executor string `json:"executor"`
+	// Crossover reports whether the request's run would be answered by
+	// the exact Scan instead of its sampling executor, and
+	// PredictedFraction is the share of the table the sampler was
+	// predicted to read (engine.Options.Crossover decides on it).
+	Crossover         bool    `json:"crossover"`
+	PredictedFraction float64 `json:"predicted_fraction"`
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -38,10 +44,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.finishRequest(pq, outcomeOK, nil, planHit, false, http.StatusOK, "")
+	info := plan.Explain()
+	cross, frac := pq.opts.Crossover(int64(info.Rows), info.Groups)
 	writeJSON(w, http.StatusOK, ExplainResponse{
-		Table:      pq.req.Table,
-		Plan:       plan.Explain(),
-		PlanCached: planHit,
-		Executor:   pq.opts.Executor.String(),
+		Table:             pq.req.Table,
+		Plan:              info,
+		PlanCached:        planHit,
+		Executor:          pq.opts.Executor.String(),
+		Crossover:         cross,
+		PredictedFraction: frac,
 	})
 }

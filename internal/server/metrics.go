@@ -47,9 +47,12 @@ type tableMetrics struct {
 	samplerChunks   int64
 	samplerWBlocks  []int64
 	samplerWTuples  []int64
-	appendReqs      int64
-	appendRows      int64
-	appendErrs      int64
+	// crossovers counts sampling-executor runs the engine answered with
+	// the exact Scan (engine.Options.Crossover).
+	crossovers int64
+	appendReqs int64
+	appendRows int64
+	appendErrs int64
 	// Answer-quality telemetry: runs that carried a quality report, the
 	// subset cut short (truncated termination), the last completed run's
 	// final observed margin, and the stage-2 round distribution.
@@ -166,6 +169,9 @@ func (m *tableMetrics) observe(d time.Duration, res *engine.Result, oc runOutcom
 		if res.Partial {
 			m.partials++
 		}
+		if res.Crossover {
+			m.crossovers++
+		}
 		if q := res.Quality; q != nil {
 			m.qualityRuns++
 			m.qualityMargin = q.FinalGap
@@ -259,6 +265,9 @@ type TableMetrics struct {
 	SamplerChunks       int64   `json:"sampler_chunks,omitempty"`
 	SamplerWorkerBlocks []int64 `json:"sampler_worker_blocks,omitempty"`
 	SamplerWorkerTuples []int64 `json:"sampler_worker_tuples,omitempty"`
+	// Crossovers counts sampling-executor runs answered by the exact
+	// Scan because the sampler was predicted to read most of the table.
+	Crossovers int64 `json:"crossovers,omitempty"`
 	// AppendRequests/AppendedRows/AppendErrors count POST .../rows calls
 	// served for the table (always zero for static backends).
 	AppendRequests int64 `json:"append_requests,omitempty"`
@@ -339,6 +348,7 @@ func (m *tableMetrics) snapshot() TableMetrics {
 		SamplerChunks:       m.samplerChunks,
 		SamplerWorkerBlocks: append([]int64(nil), m.samplerWBlocks...),
 		SamplerWorkerTuples: append([]int64(nil), m.samplerWTuples...),
+		Crossovers:          m.crossovers,
 		AppendRequests:      m.appendReqs,
 		AppendedRows:        m.appendRows,
 		AppendErrors:        m.appendErrs,

@@ -129,6 +129,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			func(m TableMetrics) float64 { return float64(m.SamplerParallelRuns) }},
 		{"fastmatch_sampler_chunks_total", "Committed sampling planner chunks.",
 			func(m TableMetrics) float64 { return float64(m.SamplerChunks) }},
+		{"fastmatch_crossovers_total", "Sampling-executor runs answered by the exact Scan (crossover).",
+			func(m TableMetrics) float64 { return float64(m.Crossovers) }},
 		{"fastmatch_append_requests_total", "Row-append requests.",
 			func(m TableMetrics) float64 { return float64(m.AppendRequests) }},
 		{"fastmatch_appended_rows_total", "Rows appended.",

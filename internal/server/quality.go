@@ -146,7 +146,9 @@ func (s *Server) auditSelected(e *tableEntry) bool {
 // retain/done) until the audit finishes, so the exact pass always runs
 // over the same data generation the approximate answer saw.
 func (s *Server) recordQuality(pq *preparedQuery, plan *engine.Plan, res *engine.Result) {
-	if res == nil {
+	if res == nil || res.Crossover {
+		// A crossover run answered exactly with Scan: it has no
+		// convergence to report and nothing for an audit to grade.
 		return
 	}
 	entry := QualityEntry{

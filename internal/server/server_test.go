@@ -130,6 +130,8 @@ func f64p(v float64) *float64 { return &v }
 // baseRequest is a deterministic sampling query: fixed seed, ScanMatch
 // executor (sequential sampling — bit-for-bit reproducible, unlike the
 // async FastMatch executor whose lookahead marking is timing-dependent).
+// The fixture is small enough that every sampling run would cross over
+// to Scan, so the crossover is disabled: these tests exercise the sampler.
 func baseRequest(seed int64, executor string) QueryRequest {
 	return QueryRequest{
 		Table:  "fixture",
@@ -138,6 +140,7 @@ func baseRequest(seed int64, executor string) QueryRequest {
 		Options: &OptionsSpec{
 			K: intp(3), Epsilon: f64p(0.10), Delta: f64p(0.05), Sigma: f64p(0.002),
 			Stage1Samples: intp(5000), Executor: executor, Seed: i64p(seed),
+			DisableCrossover: true,
 		},
 	}
 }

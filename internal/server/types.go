@@ -122,6 +122,11 @@ type OptionsSpec struct {
 	// the io counters change).
 	DisableBlockSkip   bool `json:"disable_block_skip,omitempty"`
 	DisableScanKernels bool `json:"disable_scan_kernels,omitempty"`
+	// DisableCrossover keeps a sampling executor sampling even when the
+	// engine predicts it would read most of the table and would answer
+	// with the exact Scan instead (engine.Options.Crossover). A
+	// measurement knob for the raw samplers.
+	DisableCrossover bool `json:"disable_crossover,omitempty"`
 }
 
 // ResultPayload is the JSON form of engine.Result, minus wall-clock
@@ -136,9 +141,13 @@ type ResultPayload struct {
 	// no guarantees attached. Partial results are never cached, so a
 	// complete result's payload stays byte-identical whether a timeout
 	// was configured or not.
-	Partial bool           `json:"partial,omitempty"`
-	Stats   StatsPayload   `json:"stats"`
-	IO      engine.IOStats `json:"io"`
+	Partial bool `json:"partial,omitempty"`
+	// Crossover flags a sampling-executor request answered by the exact
+	// Scan because the sampler was predicted to read most of the table;
+	// the single-node and coordinated paths decide it alike.
+	Crossover bool           `json:"crossover,omitempty"`
+	Stats     StatsPayload   `json:"stats"`
+	IO        engine.IOStats `json:"io"`
 	// GroupLabels names the histogram groups, aligned with the Histogram
 	// vectors in TopK.
 	GroupLabels []string `json:"group_labels"`
@@ -172,8 +181,9 @@ type ErrorResponse struct {
 // toPayload converts an engine result into its deterministic wire form.
 func toPayload(res *engine.Result) ResultPayload {
 	out := ResultPayload{
-		Exact:   res.Exact,
-		Partial: res.Partial,
+		Exact:     res.Exact,
+		Partial:   res.Partial,
+		Crossover: res.Crossover,
 		Stats: StatsPayload{
 			SamplesStage1:    res.Stats.SamplesStage1,
 			SamplesStage2:    res.Stats.SamplesStage2,
@@ -360,6 +370,9 @@ func (os *OptionsSpec) apply(opts *engine.Options) error {
 	}
 	if os.DisableScanKernels {
 		opts.DisableScanKernels = true
+	}
+	if os.DisableCrossover {
+		opts.DisableCrossover = true
 	}
 	return nil
 }

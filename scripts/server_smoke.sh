@@ -51,7 +51,7 @@ TABLES="$(curl -fsS "$BASE/v1/tables")"
 echo "$TABLES" | grep -q '"name":"flights"' || { echo "flights table missing: $TABLES" >&2; exit 1; }
 echo "$TABLES" | grep -q '"rows":100000'   || { echo "wrong row count: $TABLES" >&2; exit 1; }
 
-QUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"scanmatch","epsilon":0.1,"seed":7}}'
+QUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"scanmatch","epsilon":0.1,"seed":7,"disable_crossover":true}}'
 
 echo "== scripted query returns a top-k answer"
 R1="$(curl -fsS -X POST "$BASE/v1/query" -d "$QUERY")"
@@ -105,7 +105,7 @@ printf '%s\n' "$METRICS" | grep -Eq '^fastmatch_blocks_pruned_total\{table="flig
 printf '%s\n' "$METRICS" | grep -Eq '^fastmatch_result_cache_hits_total\{table="flights"\} [1-9]' || { echo "/metrics missing cache hit" >&2; exit 1; }
 
 echo "== syncmatch with workers=4 is byte-identical to workers=1; per-worker sampler counters tick"
-W1QUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"syncmatch","epsilon":0.1,"seed":13,"workers":1}}'
+W1QUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"syncmatch","epsilon":0.1,"seed":13,"disable_crossover":true,"workers":1}}'
 W4QUERY="$(printf '%s' "$W1QUERY" | sed 's/"workers":1/"workers":4/')"
 RW1="$(curl -fsS -X POST "$BASE/v1/query" -d "$W1QUERY")"
 RW4="$(curl -fsS -X POST "$BASE/v1/query" -d "$W4QUERY")"
@@ -159,7 +159,7 @@ FSTATS="$(curl -fsS "$BASE/v1/stats" | sed 's/.*"flights"://')"
 printf '%s' "$FSTATS" | grep -Eq '"audit_runs":[1-9]' || { echo "/v1/stats missing audit runs: $FSTATS" >&2; exit 1; }
 
 echo "== /v1/query/stream: progress frames precede a result byte-identical to the blocking answer"
-SQUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"scanmatch","epsilon":0.1,"seed":21}}'
+SQUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"scanmatch","epsilon":0.1,"seed":21,"disable_crossover":true}}'
 STREAM="$(curl -fsS -N -X POST "$BASE/v1/query/stream" -d "$SQUERY")"
 NFRAMES="$(printf '%s\n' "$STREAM" | grep -c '"type":')"
 [ "$NFRAMES" -ge 2 ] || { echo "stream produced $NFRAMES frames, want >= 2: $STREAM" >&2; exit 1; }
@@ -173,6 +173,20 @@ RB="$(curl -fsS -X POST "$BASE/v1/query" -d "$SQUERY")"
 echo "$RB" | grep -q '"cached":true' || { echo "blocking repeat of streamed query not served from cache: $RB" >&2; exit 1; }
 PB="$(printf '%s' "$RB" | sed 's/.*"result"://')"
 [ "$SP" = "$PB" ] || { echo "streamed result differs from blocking result" >&2; echo "stream:   $SP" >&2; echo "blocking: $PB" >&2; exit 1; }
+
+echo "== a sampling query predicted to read most of the table crosses over to the exact scan"
+XQUERY="$(printf '%s' "$QUERY" | sed 's/,"disable_crossover":true//; s/"seed":7/"seed":8/')"
+RX="$(curl -fsS -X POST "$BASE/v1/query" -d "$XQUERY")"
+echo "$RX" | grep -q '"crossover":true' || { echo "small-table sampling query did not cross over: $RX" >&2; exit 1; }
+PX="$(printf '%s' "$RX" | sed 's/.*"result"://; s/"crossover":true,//')"
+XSCAN="$(printf '%s' "$XQUERY" | sed 's/"executor":"scanmatch"/"executor":"scan"/')"
+PXS="$(curl -fsS -X POST "$BASE/v1/query" -d "$XSCAN" | sed 's/.*"result"://')"
+[ "$PX" = "$PXS" ] || { echo "crossover answer differs from the scan answer" >&2; echo "crossover: $PX" >&2; echo "scan:      $PXS" >&2; exit 1; }
+curl -fsS -X POST "$BASE/v1/explain" -d "$XQUERY" | grep -q '"crossover":true' || { echo "/v1/explain does not predict the crossover" >&2; exit 1; }
+curl -fsS -X POST "$BASE/v1/explain" -d "$QUERY" | grep -q '"crossover":false' || { echo "/v1/explain ignores disable_crossover" >&2; exit 1; }
+XSTREAM="$(curl -fsS -N -X POST "$BASE/v1/query/stream" -d "$(printf '%s' "$XQUERY" | sed 's/"seed":8/"seed":9/')")"
+printf '%s\n' "$XSTREAM" | grep -q '"phase":"scan"' || { echo "crossover stream sent no scan frames: $XSTREAM" >&2; exit 1; }
+printf '%s\n' "$(curl -fsS "$BASE/metrics")" | grep -Eq '^fastmatch_crossovers_total\{table="flights"\} [1-9]' || { echo "/metrics counts no crossovers" >&2; exit 1; }
 
 echo "== row budget answers 200 with a partial result (and is not cached)"
 BQUERY='{"table":"flightsslow","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"scan","seed":7,"row_budget":2000}}'
@@ -265,13 +279,20 @@ for p in "$S1:$SP1" "$S2:$SP2" "$S3:$SP3" "$SN:$SNP" "$PID:$PORT"; do
 done
 
 echo "== coordinated answer is byte-identical to a single node over the unsplit snapshot"
-CQUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"scanmatch","epsilon":0.1,"seed":31}}'
+CQUERY='{"table":"flights","query":{"z":"Origin","x":["DepartureHour"]},"target":{"uniform":true},"options":{"k":3,"executor":"scanmatch","epsilon":0.1,"seed":31,"disable_crossover":true}}'
 RC="$(curl -fsS -X POST "$BASE/v1/query" -d "$CQUERY")"
 RSN="$(curl -fsS -X POST "http://127.0.0.1:${SNP}/v1/query" -d "$CQUERY")"
 echo "$RC" | grep -q '"shards":\[' || { echo "coordinated reply carries no shard statuses: $RC" >&2; exit 1; }
 PC="$(printf '%s' "$RC" | sed 's/.*"result"://')"
 PSN="$(printf '%s' "$RSN" | sed 's/.*"result"://')"
 [ "$PC" = "$PSN" ] || { echo "coordinated result differs from single node" >&2; echo "coord:  $PC" >&2; echo "single: $PSN" >&2; exit 1; }
+
+echo "== the coordinator crosses over exactly where the single node does"
+CXQUERY="$(printf '%s' "$CQUERY" | sed 's/,"disable_crossover":true//')"
+PCX="$(curl -fsS -X POST "$BASE/v1/query" -d "$CXQUERY" | sed 's/.*"result"://')"
+PSNX="$(curl -fsS -X POST "http://127.0.0.1:${SNP}/v1/query" -d "$CXQUERY" | sed 's/.*"result"://')"
+printf '%s' "$PCX" | grep -q '"crossover":true' || { echo "coordinated query did not cross over: $PCX" >&2; exit 1; }
+[ "$PCX" = "$PSNX" ] || { echo "coordinated crossover differs from single node" >&2; echo "coord:  $PCX" >&2; echo "single: $PSNX" >&2; exit 1; }
 
 echo "== exact scan agrees too, and the per-shard client counters tick"
 CSCAN="$(printf '%s' "$CQUERY" | sed 's/"executor":"scanmatch"/"executor":"scan"/')"
