@@ -33,7 +33,7 @@ func (c *Coordinator) Audit(ctx context.Context, t engine.Target, approx *engine
 	if st.degraded {
 		return nil, fmt.Errorf("cluster: audit reference scan degraded: missing shards %v", missingNames(st))
 	}
-	exOpts := engine.AuditReferenceOptions(opts, st.nCand)
+	exOpts := engine.AuditReferenceOptions(opts, st.ref.Candidates)
 	ref, err := c.Run(ctx, t, exOpts)
 	if err != nil {
 		return nil, fmt.Errorf("engine: audit reference scan: %w", err)

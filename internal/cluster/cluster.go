@@ -4,16 +4,19 @@
 // per-shard partials with the exact algebra the intra-node path uses —
 // core.Batch.Merge for sampler state and IOStats.Add for accounting.
 //
-// The coordinator drives core.RunObserved itself, exactly as a
-// single-node run does; only the core.Sampler underneath differs: a
-// distributed sampler that chains the global block-cursor walk through
-// stateless per-shard segments (engine.RunShardSegment). Because chunk
-// commits and FastMatch marking tiles are anchored to block indices,
-// shard files whose block counts are multiples of engine.ChunkBlocks
-// (and, for FastMatch, of the lookahead) hand segments off exactly at
-// the positions the single-node walk would have committed — making a
-// K-shard answer byte-identical to a single node over the concatenated
-// data. The equivalence suite enforces this.
+// A sampling run is the engine's own sampling walk, the one a single
+// node runs (engine.SampleShards): the coordinator contributes one
+// remote runner per shard — the Shard.Segment call, batch decoding,
+// shard-health bookkeeping and a trace span per segment — and the walk
+// chains the global block cursor through stateless per-shard segments
+// (engine.RunShardSegment). Because chunk commits and FastMatch marking
+// tiles are anchored to block indices, shard files whose block counts
+// are multiples of engine.ChunkBlocks (and, for FastMatch, of the
+// lookahead) hand segments off exactly at the positions the single-node
+// walk would have committed — making a K-shard answer byte-identical to
+// a single node over the concatenated data. The equivalence suite
+// enforces this. Exact scans and candidate-target resolution fold one
+// segment per shard with the same engine.Guard a single node uses.
 //
 // Robustness is degraded-but-honest: a shard that dies mid-run has its
 // remaining blocks treated as consumed-with-zero-contribution, the
@@ -26,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -96,7 +98,7 @@ func (c *Coordinator) Run(ctx context.Context, t engine.Target, opts engine.Opti
 	if err != nil {
 		return nil, err
 	}
-	if err := st.stopCheck(); err != nil {
+	if err := st.guard.Stop(); err != nil {
 		return nil, err
 	}
 	rsp := opts.Trace.Start("resolve_target")
@@ -115,37 +117,21 @@ type shardRun struct {
 	dead     bool
 	errMsg   string
 	segments int64
-	io       engine.IOStats
-	// consumed/consCnt mirror the shard's slice of the global consumed
-	// set; exh is the last-known per-candidate local exhaustion.
-	consumed []uint64
-	consCnt  int
-	exh      []bool
 }
 
-// runState is the per-run coordinator state: validated metas, the
-// global budget/deadline accounting (the distributed twin of the
-// engine's runGuard), and degraded-mode bookkeeping.
+// runState is the per-run coordinator state: validated metas, the run's
+// termination guard, and degraded-mode bookkeeping.
 type runState struct {
-	ctx  context.Context
-	opts engine.Options
+	opts  engine.Options
+	guard *engine.Guard
 
 	shards []*shardRun // all configured shards, in global block order
 	walk   []*shardRun // live-at-connect shards: the global block space
 
-	nCand       int
-	groups      int
-	labels      []string
-	groupLabels []string
-	globalNB    int
-	totalRows   int64
-
-	charged  int64 // rows charged against the budget so far
-	budget   int64
-	deadline time.Time
+	ref       *engine.ShardMeta // the plan domain every live shard shares
+	totalRows int64
 
 	degraded bool
-	began    time.Time
 }
 
 func (c *Coordinator) connect(ctx context.Context, opts engine.Options) (*runState, error) {
@@ -153,12 +139,9 @@ func (c *Coordinator) connect(ctx context.Context, opts engine.Options) (*runSta
 		return nil, errors.New("cluster: no shards configured")
 	}
 	st := &runState{
-		ctx:      ctx,
-		opts:     opts,
-		budget:   opts.RowBudget,
-		deadline: opts.Deadline,
-		began:    time.Now(),
-		shards:   make([]*shardRun, len(c.shards)),
+		opts:   opts,
+		guard:  engine.NewGuard(ctx, opts),
+		shards: make([]*shardRun, len(c.shards)),
 	}
 	var wg sync.WaitGroup
 	for i, sh := range c.shards {
@@ -190,21 +173,13 @@ func (c *Coordinator) connect(ctx context.Context, opts engine.Options) (*runSta
 		} else if err := metaMatch(ref, m); err != nil {
 			return nil, fmt.Errorf("cluster: shard %q: %w", sr.shard.Name(), err)
 		}
-		sr.exh = append([]bool(nil), m.Absent...)
-		if sr.exh == nil {
-			sr.exh = make([]bool, m.Candidates)
-		}
 		st.walk = append(st.walk, sr)
-		st.globalNB += m.Blocks
 		st.totalRows += int64(m.Rows)
 	}
 	if ref == nil {
 		return nil, fmt.Errorf("cluster: all %d shards unreachable", len(c.shards))
 	}
-	st.nCand = ref.Candidates
-	st.groups = ref.Groups
-	st.labels = ref.Labels
-	st.groupLabels = ref.GroupLabels
+	st.ref = ref
 	return st, nil
 }
 
@@ -234,46 +209,18 @@ func metaMatch(a, b *engine.ShardMeta) error {
 	return nil
 }
 
-func (st *runState) labelOf(i int) string { return st.labels[i] }
+func (st *runState) labelOf(i int) string { return st.ref.Labels[i] }
 
 // newBatch allocates an empty global batch over the candidate domain.
 func (st *runState) newBatch() *core.Batch {
-	return &core.Batch{Counts: make([]int64, st.nCand), Hists: make([]*histogram.Histogram, st.nCand)}
-}
-
-// stopCheck is the coordinator-side twin of runGuard.stop, evaluated
-// between segments in the same order (context, budget, deadline) so a
-// coordinated stop lands exactly where the single-node guard's would.
-func (st *runState) stopCheck() error {
-	if st.ctx != nil {
-		if err := st.ctx.Err(); err != nil {
-			return engine.CanceledStopError(err)
-		}
-	}
-	if st.budget > 0 && st.charged >= st.budget {
-		return engine.BudgetStopError(st.budget, st.charged)
-	}
-	if !st.deadline.IsZero() && !time.Now().Before(st.deadline) {
-		return engine.CanceledStopError(context.DeadlineExceeded)
-	}
-	return nil
-}
-
-// residualBudget is the row budget left for the next segment (0 =
-// unlimited; an exhausted budget never reaches a shard — stopCheck
-// fires first).
-func (st *runState) residualBudget() int64 {
-	if st.budget <= 0 {
-		return 0
-	}
-	return st.budget - st.charged
+	return &core.Batch{Counts: make([]int64, st.ref.Candidates), Hists: make([]*histogram.Histogram, st.ref.Candidates)}
 }
 
 // sequential reports whether segment fan-out must be sequential to
 // preserve determinism: budget and deadline stops are charged in block
 // order, so concurrent shards would race the stop point.
 func (st *runState) sequential() bool {
-	return st.budget > 0 || !st.deadline.IsZero()
+	return st.opts.RowBudget > 0 || !st.opts.Deadline.IsZero()
 }
 
 func (st *runState) markDead(sr *shardRun, err error) {
@@ -282,44 +229,16 @@ func (st *runState) markDead(sr *shardRun, err error) {
 	st.degraded = true
 }
 
-func interrupted(err error) bool {
-	return errors.Is(err, engine.ErrCanceled) || errors.Is(err, engine.ErrBudgetExhausted)
-}
-
-// resolveTarget mirrors Plan.resolveTarget across the shard set:
-// explicit and uniform targets resolve locally; candidate targets by an
-// exact scatter-gather scan of the candidate's blocks. Target I/O is
+// resolveTarget is Plan.resolveTarget across the shard set: the same
+// engine.TargetHistogram, with candidate targets resolved by an exact
+// scatter-gather scan of the candidate's blocks. Target I/O is
 // excluded from the run's IOStats (the single-node contract) but its
 // rows are charged against the budget, exactly as the shared guard
 // charges them intra-node.
 func (st *runState) resolveTarget(ctx context.Context, t engine.Target) (*histogram.Histogram, error) {
-	switch {
-	case len(t.Counts) > 0:
-		if len(t.Counts) != st.groups {
-			return nil, fmt.Errorf("engine: target has %d groups, query produces %d", len(t.Counts), st.groups)
-		}
-		return histogram.FromCounts(t.Counts), nil
-	case t.Uniform:
-		counts := make([]float64, st.groups)
-		for i := range counts {
-			counts[i] = 1
-		}
-		return histogram.FromCounts(counts), nil
-	case t.Candidate != "":
-		id := -1
-		for i, l := range st.labels {
-			if l == t.Candidate {
-				id = i
-				break
-			}
-		}
-		if id < 0 {
-			return nil, fmt.Errorf("engine: target candidate %q not found", t.Candidate)
-		}
+	return engine.TargetHistogram(t, st.ref.Groups, st.ref.Candidates, st.labelOf, func(id int) (*histogram.Histogram, error) {
 		return st.resolveCandidateTarget(ctx, id)
-	default:
-		return nil, fmt.Errorf("engine: empty target specification")
-	}
+	})
 }
 
 // resolveCandidateTarget sums the candidate's exact local histograms. A
@@ -327,19 +246,18 @@ func (st *runState) resolveTarget(ctx context.Context, t engine.Target) (*histog
 // shard's rows would silently change the question being asked (the
 // single-node analogue — an interrupted target scan — errors too).
 func (st *runState) resolveCandidateTarget(ctx context.Context, id int) (*histogram.Histogram, error) {
-	h := histogram.New(st.groups)
+	h := histogram.New(st.ref.Groups)
 	fold := func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
+		var part *core.Batch
+		if err == nil {
+			part, err = core.DecodeBatch(res.Batch)
+		}
 		if err != nil {
 			return fmt.Errorf("cluster: target resolution on shard %q: %w", sr.shard.Name(), err)
 		}
-		part, err := core.DecodeBatch(res.Batch)
-		if err != nil {
-			return fmt.Errorf("cluster: target resolution on shard %q: %w", sr.shard.Name(), err)
-		}
-		st.charged += part.Drawn
 		sr.segments++
-		if res.Stopped != "" {
-			return res.StopError(st.budget, st.charged)
+		if err := st.guard.Charge(part.Drawn, res.Stopped); err != nil {
+			return err
 		}
 		if ph := part.Hists[id]; ph != nil {
 			if err := h.AddHistogram(ph); err != nil {
@@ -349,32 +267,27 @@ func (st *runState) resolveCandidateTarget(ctx context.Context, id int) (*histog
 		return nil
 	}
 	mkReq := func() *engine.ShardSegment {
-		return &engine.ShardSegment{
+		req := &engine.ShardSegment{
 			Kind:            engine.SegTarget,
 			Workers:         st.opts.Workers,
 			TargetCandidate: id,
-			Deadline:        st.deadline,
 		}
+		st.guard.Limit(req)
+		return req
 	}
 	if st.sequential() {
 		for _, sr := range st.walk {
-			if err := st.stopCheck(); err != nil {
+			if err := st.guard.Stop(); err != nil {
 				return nil, err
 			}
-			req := mkReq()
-			req.RowBudget = st.residualBudget()
-			res, err := sr.shard.Segment(ctx, req)
+			res, err := sr.shard.Segment(ctx, mkReq())
 			if err := fold(sr, res, err); err != nil {
 				return nil, err
 			}
 		}
 		return h, nil
 	}
-	results, err := st.fanout(ctx, mkReq)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range results {
+	for _, r := range st.fanout(ctx, mkReq) {
 		if err := fold(r.sr, r.res, r.err); err != nil {
 			return nil, err
 		}
@@ -386,51 +299,60 @@ func (st *runState) resolveCandidateTarget(ctx context.Context, id int) (*histog
 // Plan.runWithTarget.
 func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Result, error) {
 	opts := st.opts
-	if target.Groups() != st.groups {
-		return nil, fmt.Errorf("engine: target has %d groups, query produces %d", target.Groups(), st.groups)
+	if target.Groups() != st.ref.Groups {
+		return nil, fmt.Errorf("engine: target has %d groups, query produces %d", target.Groups(), st.ref.Groups)
 	}
 	began := time.Now()
 	runSpan := opts.Trace.StartAt("run", began)
 	runSpan.SetAttr("executor", opts.Executor.String())
 	runSpan.SetAttr("shards", len(st.shards))
 	defer runSpan.End()
-	cross, frac := opts.Crossover(st.totalRows, st.groups)
+	cross, frac := opts.Crossover(st.totalRows, st.ref.Groups)
 	runSpan.SetAttr("crossover", cross)
 	runSpan.SetAttr("predicted_fraction", frac)
 	if cross || opts.Executor == engine.Scan || opts.Executor == engine.ParallelScan {
 		return st.runScan(ctx, target, began, runSpan, cross)
 	}
-	if opts.Quality {
-		opts.Params.CollectQuality = true
+	// A sampling segment is one Shard.Segment call decoded here. The walk
+	// folds a lost shard's unread blocks in as consumed with nothing
+	// drawn, and the result below is forced Partial with the shard named.
+	metas := make([]*engine.ShardMeta, len(st.walk))
+	for i, sr := range st.walk {
+		metas[i] = sr.meta
 	}
-	start := opts.StartBlock
-	if start < 0 {
-		if st.globalNB > 0 {
-			start = rand.New(rand.NewSource(opts.Seed)).Intn(st.globalNB)
-		} else {
-			start = 0
-		}
-	} else if st.globalNB > 0 {
-		start = ((start % st.globalNB) + st.globalNB) % st.globalNB
-	} else {
-		start = 0
+	call := func(i int, req *engine.ShardSegment) (*engine.ShardSegmentResult, *core.Batch, error) {
+		res, err := st.walk[i].shard.Segment(ctx, req)
+		part, err := st.decode(st.walk[i], req, res, err, runSpan, false)
+		return res, part, err
 	}
-	ds := newDistSampler(st, ctx, start, runSpan)
-	obs, obsClose := engine.RunObserver(began, opts, ds.Stats, st.labelOf, runSpan)
-	defer obsClose()
-	coreRes, err := core.RunObserved(ds, target, opts.Params, obs)
-	if err != nil && (coreRes == nil || !interrupted(err)) {
+	res, err := engine.SampleShards(metas, call, st.degraded, target, opts, st.guard, began, runSpan)
+	if res == nil {
 		return nil, err
 	}
-	res := engine.SamplingResult(coreRes, ds.Stats(), time.Since(began), st.groupLabels, st.labelOf)
 	if st.degraded {
-		// Degraded-but-honest: the dead shard's blocks were folded in as
-		// consumed-with-zero-contribution, so totals only count data
-		// actually read — but no exactness or guarantee can be claimed.
+		// Degraded-but-honest: totals only count data actually read, but
+		// no exactness or guarantee can be claimed.
 		res.Exact = false
 		res.Partial = true
 	}
 	return st.finish(res), err
+}
+
+// decode turns one shard segment answer into its batch. A failed call or
+// an undecodable batch marks the shard dead. Every call gets a trace
+// span; exact-scan spans carry the segment's IO.
+func (st *runState) decode(sr *shardRun, req *engine.ShardSegment, res *engine.ShardSegmentResult, err error, runSpan *trace.Span, withIO bool) (*core.Batch, error) {
+	var part *core.Batch
+	if err == nil {
+		part, err = core.DecodeBatch(res.Batch)
+	}
+	sr.segments++
+	if err != nil {
+		st.markDead(sr, err)
+		res = nil
+	}
+	shardSpan(runSpan, sr, req, res, withIO)
+	return part, err
 }
 
 // finish attaches per-shard statuses to the engine result.
@@ -455,51 +377,28 @@ func (st *runState) finish(res *engine.Result) *Result {
 	return out
 }
 
-// fanoutWindow bounds the coordinator's concurrent fan-out: shard
-// responses stream through a channel of this capacity, so at most this
-// many undecoded partials are ever buffered regardless of shard count.
-const fanoutWindow = 4
-
 type fanoutResult struct {
 	sr  *shardRun
 	res *engine.ShardSegmentResult
 	err error
 }
 
-// fanout issues one segment per live shard concurrently and returns the
-// responses in shard order. Responses stream through a fixed-size
-// channel — memory stays bounded by fanoutWindow, not by shard count —
-// and folding happens on the caller's goroutine. Only order-independent
-// folds (integer-sum merges) may use this; budgeted runs must go
-// sequential.
-func (st *runState) fanout(ctx context.Context, mkReq func() *engine.ShardSegment) ([]fanoutResult, error) {
-	live := st.liveWalk()
-	ch := make(chan fanoutResult, fanoutWindow)
-	for _, sr := range live {
-		go func(sr *shardRun) {
+// fanout issues one segment per shard concurrently and returns the
+// responses in shard order; folding happens on the caller's goroutine.
+// Only order-independent folds (integer-sum merges) may use this;
+// budgeted runs must go sequential.
+func (st *runState) fanout(ctx context.Context, mkReq func() *engine.ShardSegment) []fanoutResult {
+	out := make([]fanoutResult, len(st.walk))
+	var wg sync.WaitGroup
+	for i, sr := range st.walk {
+		wg.Add(1)
+		go func(i int, sr *shardRun) {
+			defer wg.Done()
 			res, err := sr.shard.Segment(ctx, mkReq())
-			ch <- fanoutResult{sr: sr, res: res, err: err}
-		}(sr)
+			out[i] = fanoutResult{sr: sr, res: res, err: err}
+		}(i, sr)
 	}
-	byShard := make(map[*shardRun]fanoutResult, len(live))
-	for range live {
-		r := <-ch
-		byShard[r.sr] = r
-	}
-	out := make([]fanoutResult, 0, len(live))
-	for _, sr := range live {
-		out = append(out, byShard[sr])
-	}
-	return out, nil
-}
-
-func (st *runState) liveWalk() []*shardRun {
-	out := make([]*shardRun, 0, len(st.walk))
-	for _, sr := range st.walk {
-		if !sr.dead {
-			out = append(out, sr)
-		}
-	}
+	wg.Wait()
 	return out
 }
 
@@ -515,14 +414,7 @@ func shardSpan(runSpan *trace.Span, sr *shardRun, req *engine.ShardSegment, res 
 	if res != nil {
 		sp.SetAttr("visited", res.Visited)
 		if withIO {
-			sp.SetIO(trace.IO{
-				BlocksRead:    res.IO.BlocksRead,
-				BlocksSkipped: res.IO.BlocksSkipped,
-				BlocksPruned:  res.IO.BlocksPruned,
-				TuplesRead:    res.IO.TuplesRead,
-				KernelBlocks:  res.IO.KernelBlocks,
-				Wraps:         res.IO.Wraps,
-			})
+			sp.SetIO(engine.TraceIO(res.IO))
 		}
 	} else {
 		sp.SetAttr("error", sr.errMsg)

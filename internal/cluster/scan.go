@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"fastmatch/internal/core"
 	"fastmatch/internal/engine"
 	"fastmatch/internal/histogram"
 	"fastmatch/internal/obs/trace"
@@ -15,7 +14,7 @@ import (
 // histograms with Batch.Merge (integer sums — order-independent and
 // value-exact), then ranks the global accumulation through the same
 // engine.RankExact the single-node pass uses. Un-budgeted runs fan out
-// concurrently (bounded by fanoutWindow); budgeted or deadlined runs
+// concurrently, one segment per shard; budgeted or deadlined runs
 // chain shards sequentially with the residual budget so the stop lands
 // on the same global block a single-node pass would stop at. A
 // crossover run (a sampling executor sent to Scan by
@@ -33,54 +32,43 @@ func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, be
 		workers = st.opts.Workers
 	}
 	mkReq := func() *engine.ShardSegment {
-		return &engine.ShardSegment{
+		req := &engine.ShardSegment{
 			Kind:               engine.SegScan,
 			Executor:           st.opts.Executor,
 			Workers:            workers,
 			DisableBlockSkip:   st.opts.DisableBlockSkip,
 			DisableScanKernels: st.opts.DisableScanKernels,
-			Deadline:           st.deadline,
 		}
+		st.guard.Limit(req)
+		return req
 	}
 	gb := st.newBatch()
 	var io engine.IOStats
 	var stopErr error
 	fold := func(sr *shardRun, req *engine.ShardSegment, res *engine.ShardSegmentResult, err error) error {
-		var part *core.Batch
-		if err == nil {
-			part, err = core.DecodeBatch(res.Batch)
-		}
-		sr.segments++
+		part, err := st.decode(sr, req, res, err, runSpan, true)
 		if err != nil {
-			st.markDead(sr, err)
-			shardSpan(runSpan, sr, req, nil, true)
-			return nil
+			return nil // the shard is dead: degraded, not failed
 		}
 		if err := gb.Merge(part); err != nil {
 			return err
 		}
-		st.charged += part.Drawn
-		sr.io.Add(res.IO)
+		segErr := st.guard.Charge(part.Drawn, res.Stopped)
 		io.Add(res.IO)
-		shardSpan(runSpan, sr, req, res, true)
 		if st.opts.OnProgress != nil {
 			st.opts.OnProgress(engine.Progress{Phase: "scan", IO: io, Elapsed: time.Since(began)})
 		}
-		if res.Stopped != "" {
-			stopErr = res.StopError(st.budget, st.charged)
+		if segErr != nil {
+			stopErr = segErr
 		}
 		return nil
 	}
 	if st.sequential() || crossover {
 		for _, sr := range st.walk {
-			if sr.dead {
-				continue
-			}
-			if stopErr = st.stopCheck(); stopErr != nil {
+			if stopErr = st.guard.Stop(); stopErr != nil {
 				break
 			}
 			req := mkReq()
-			req.RowBudget = st.residualBudget()
 			res, err := sr.shard.Segment(ctx, req)
 			if err := fold(sr, req, res, err); err != nil {
 				return nil, err
@@ -90,11 +78,7 @@ func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, be
 			}
 		}
 	} else {
-		results, err := st.fanout(ctx, mkReq)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
+		for _, r := range st.fanout(ctx, mkReq) {
 			if err := fold(r.sr, mkReq(), r.res, r.err); err != nil {
 				return nil, err
 			}
@@ -106,7 +90,7 @@ func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, be
 	hists := gb.Hists
 	for i, h := range hists {
 		if h == nil {
-			hists[i] = histogram.New(st.groups)
+			hists[i] = histogram.New(st.ref.Groups)
 		}
 	}
 	res := &engine.Result{Exact: complete, Partial: !complete, IO: io, Crossover: crossover}
@@ -114,6 +98,6 @@ func (st *runState) runScan(ctx context.Context, target *histogram.Histogram, be
 	res.Stats.ChosenK = len(res.TopK)
 	res.Stats.PrunedCandidates = len(res.Pruned)
 	res.Duration = time.Since(began)
-	res.GroupLabels = st.groupLabels
+	res.GroupLabels = st.ref.GroupLabels
 	return st.finish(res), stopErr
 }

@@ -65,27 +65,29 @@ type ProgressMatch struct {
 	CI float64 `json:"ci,omitempty"`
 }
 
-// runGuard enforces a run's termination conditions — context
+// Guard enforces a run's termination conditions — context
 // cancellation, deadline, row budget — at block-batch granularity: every
-// executor consults stop() between block reads and unwinds cleanly when
-// it fires. A nil guard (the common case: no context, no deadline, no
-// budget) costs one nil check per block.
-type runGuard struct {
+// executor consults Stop between block reads and unwinds cleanly when it
+// fires. A nil guard (the common case: no context, no deadline, no
+// budget) costs one nil check per block. A cluster coordinator holds one
+// for the whole coordinated run, so shard segments are charged and
+// stopped exactly as a single node's reads would be.
+type Guard struct {
 	ctx      context.Context // nil when no context governs the run
 	deadline time.Time       // zero when none
 	budget   int64           // ≤ 0 when unlimited
 	rows     atomic.Int64    // rows consumed, shared across scan workers
 }
 
-// newRunGuard builds the guard for a run, or nil when nothing needs
+// NewGuard builds the guard for a run, or nil when nothing needs
 // enforcing. A context that can never be canceled (context.Background())
 // contributes nothing.
-func newRunGuard(ctx context.Context, opts Options) *runGuard {
+func NewGuard(ctx context.Context, opts Options) *Guard {
 	hasCtx := ctx != nil && ctx.Done() != nil
 	if !hasCtx && opts.Deadline.IsZero() && opts.RowBudget <= 0 {
 		return nil
 	}
-	g := &runGuard{deadline: opts.Deadline, budget: opts.RowBudget}
+	g := &Guard{deadline: opts.Deadline, budget: opts.RowBudget}
 	if hasCtx {
 		g.ctx = ctx
 	}
@@ -93,46 +95,76 @@ func newRunGuard(ctx context.Context, opts Options) *runGuard {
 }
 
 // addRows charges consumed rows against the budget.
-func (g *runGuard) addRows(n int64) {
+func (g *Guard) addRows(n int64) {
 	if g != nil && g.budget > 0 {
 		g.rows.Add(n)
 	}
 }
 
-// BudgetStopError is the typed termination error for an exhausted row
-// budget: ErrBudgetExhausted wrapping core.ErrInterrupted. Exported so a
-// cluster coordinator reconstructing a shard's stop produces the exact
-// error a single-node run would have.
-func BudgetStopError(budget, read int64) error {
-	return fmt.Errorf("%w (budget %d, read %d) (%w)", ErrBudgetExhausted, budget, read, core.ErrInterrupted)
-}
-
-// CanceledStopError is the typed termination error for a context or
-// deadline stop: ErrCanceled wrapping the cause and core.ErrInterrupted.
-func CanceledStopError(cause error) error {
-	return fmt.Errorf("%w: %w (%w)", ErrCanceled, cause, core.ErrInterrupted)
-}
-
-// stop returns nil while the run may continue, or the typed termination
-// error. The error chain wraps core.ErrInterrupted so HistSim folds the
-// partial batch in and salvages a best-effort answer, plus
+// Stop returns nil while the run may continue, or the typed termination
+// error. Conditions are checked in a fixed order — context, budget,
+// deadline — and the error chain wraps core.ErrInterrupted so HistSim
+// folds the partial batch in and salvages a best-effort answer, plus
 // ErrCanceled/ErrBudgetExhausted (and the context error) for callers.
-func (g *runGuard) stop() error {
+func (g *Guard) Stop() error {
 	if g == nil {
 		return nil
 	}
 	if g.ctx != nil {
 		if err := g.ctx.Err(); err != nil {
-			return CanceledStopError(err)
+			return canceledStop(err)
 		}
 	}
 	if g.budget > 0 && g.rows.Load() >= g.budget {
-		return BudgetStopError(g.budget, g.rows.Load())
+		return g.budgetStop()
 	}
 	if !g.deadline.IsZero() && !time.Now().Before(g.deadline) {
-		return CanceledStopError(context.DeadlineExceeded)
+		return canceledStop(context.DeadlineExceeded)
 	}
 	return nil
+}
+
+func (g *Guard) budgetStop() error {
+	var budget, read int64
+	if g != nil {
+		budget, read = g.budget, g.rows.Load()
+	}
+	return fmt.Errorf("%w (budget %d, read %d) (%w)", ErrBudgetExhausted, budget, read, core.ErrInterrupted)
+}
+
+func canceledStop(cause error) error {
+	return fmt.Errorf("%w: %w (%w)", ErrCanceled, cause, core.ErrInterrupted)
+}
+
+// Limit stamps a shard segment with the guard's residual termination
+// state: the budget left (0 = unlimited) and the deadline. An exhausted
+// budget never reaches a shard, because Stop fires first.
+func (g *Guard) Limit(seg *ShardSegment) {
+	if g == nil {
+		return
+	}
+	if g.budget > 0 {
+		seg.RowBudget = g.budget - g.rows.Load()
+	}
+	seg.Deadline = g.deadline
+}
+
+// Charge charges a shard segment's rows against the budget and returns
+// the termination error its stop reason stands for (nil for a completed
+// segment), with the run's global accounting in the text so it matches
+// what a single node would have returned.
+func (g *Guard) Charge(rows int64, stopped string) error {
+	g.addRows(rows)
+	switch stopped {
+	case "":
+		return nil
+	case SegStopBudget:
+		return g.budgetStop()
+	case SegStopDeadline:
+		return canceledStop(context.DeadlineExceeded)
+	default:
+		return canceledStop(context.Canceled)
+	}
 }
 
 // interrupted reports whether err is a guard termination carrying a

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"time"
 
@@ -330,8 +329,8 @@ func (p *Plan) RunContext(ctx context.Context, t Target, opts Options) (*Result,
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	guard := newRunGuard(ctx, opts)
-	if err := guard.stop(); err != nil {
+	guard := NewGuard(ctx, opts)
+	if err := guard.Stop(); err != nil {
 		return nil, err
 	}
 	// The resolve_target span carries no IO: target resolution is outside
@@ -356,11 +355,11 @@ func (p *Plan) RunWithTarget(target *histogram.Histogram, opts Options) (*Result
 // RunWithTargetContext is RunWithTarget governed by a context, with the
 // same cancellation contract as Plan.RunContext.
 func (p *Plan) RunWithTargetContext(ctx context.Context, target *histogram.Histogram, opts Options) (*Result, error) {
-	return p.runWithTarget(target, opts, newRunGuard(ctx, opts))
+	return p.runWithTarget(target, opts, NewGuard(ctx, opts))
 }
 
 // runWithTarget executes the plan under an optional run guard.
-func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *runGuard) (*Result, error) {
+func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *Guard) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -394,61 +393,28 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 		res.Crossover = cross
 		return res, err
 	}
-	if opts.Quality {
-		// The knob maps to core's collection flag here (opts is a copy);
-		// core.Params.CollectQuality is as fingerprint-neutral as
-		// Options.Quality itself.
-		opts.Params.CollectQuality = true
-	}
-	start := opts.StartBlock
-	if start < 0 {
-		nb := p.engine.src.NumBlocks()
-		if nb > 0 {
-			start = rand.New(rand.NewSource(opts.Seed)).Intn(nb)
-		} else {
-			start = 0
-		}
-	}
-	bs := newBlockSampler(p.engine.src, p.cand, p.grp, p.query.Filter, opts.Executor, opts.Lookahead, start, guard)
-	bs.workers = opts.Workers
+	return newLocalWalk(p.newSampler(segmentKnobs(opts), guard)).run(target, opts, began, runSpan, groupLabels(p.grp), p.cand.labelOf)
+}
+
+// newSampler builds a blockSampler over the plan with a segment's run
+// knobs: the single-node walk's runner and every shard segment.
+func (p *Plan) newSampler(knobs ShardSegment, guard *Guard) *blockSampler {
+	bs := newBlockSampler(p.engine.src, p.cand, p.grp, p.query.Filter, knobs.Executor, knobs.Lookahead, guard)
+	bs.workers = knobs.Workers
 	if bs.workers <= 0 {
 		bs.workers = runtime.GOMAXPROCS(0)
 	}
-	if !opts.DisableBlockSkip {
+	if !knobs.DisableBlockSkip {
 		bs.skipAll = p.skipAll
 		bs.skipGrp = p.skipGrp
 	}
-	if !opts.DisableScanKernels {
+	if !knobs.DisableScanKernels {
 		bs.initFastPath()
 	}
-	obs, obsClose := RunObserver(began, opts, bs.Stats, p.cand.labelOf, runSpan)
-	defer obsClose()
-	coreRes, err := core.RunObserved(bs, target, opts.Params, obs)
-	if opts.Trace != nil && len(bs.wBlocks) > 1 {
-		// Per-worker sampler spans, attribute-only: phase spans already
-		// carry the run's full IO as deltas, so worker spans must not
-		// repeat it (the span tree's IO sums to Result.IO).
-		for i := range bs.wBlocks {
-			sp := runSpan.Child(fmt.Sprintf("sampler.worker%d", i))
-			sp.SetAttr("blocks", bs.wBlocks[i])
-			sp.SetAttr("tuples", bs.wTuples[i])
-			sp.End()
-		}
-	}
-	if err != nil && (coreRes == nil || !interrupted(err)) {
-		return nil, err
-	}
-	res := SamplingResult(coreRes, bs.Stats(), time.Since(began), groupLabels(p.grp), p.cand.labelOf)
-	res.Sampler = &SamplerStats{
-		Workers:      len(bs.wBlocks),
-		Chunks:       bs.chunks,
-		WorkerBlocks: bs.wBlocks,
-		WorkerTuples: bs.wTuples,
-	}
-	return res, err
+	return bs
 }
 
-// RunObserver builds the OnProgress/trace observer for a sampling run:
+// runObserver builds the OnProgress/trace observer for a sampling run:
 // each core emission (after stage 1, every stage-2 round, stage 3) cuts
 // a phase span carrying the IOStats delta since the previous one and/or
 // a Progress frame. Tracing forces an observer on even when OnProgress
@@ -458,10 +424,10 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *r
 // an interrupted run salvages without a final emission, and a few I/O
 // counters land after the last one, so it folds the residual into a
 // closing "tail" span keeping the tree's IO summing to the run's total.
-// Shared by the single-node path and the cluster coordinator, which is
-// what keeps coordinated progress frames byte-identical (Elapsed aside)
-// to single-node ones.
-func RunObserver(began time.Time, opts Options, stats func() IOStats, labelOf func(int) string, runSpan *trace.Span) (core.Observer, func()) {
+// Single-node and coordinated walks share it, which is what keeps
+// coordinated progress frames byte-identical (Elapsed aside) to
+// single-node ones.
+func runObserver(began time.Time, opts Options, stats func() IOStats, labelOf func(int) string, runSpan *trace.Span) (core.Observer, func()) {
 	traced := opts.Trace != nil
 	if opts.OnProgress == nil && !traced {
 		return nil, func() {}
@@ -484,7 +450,7 @@ func RunObserver(began time.Time, opts Options, stats func() IOStats, labelOf fu
 				sp.SetAttr("slack", q.Slack)
 				sp.SetAttr("churn", q.Churn)
 			}
-			sp.SetIO(traceIO(ioDelta(cur, phaseIO)))
+			sp.SetIO(TraceIO(ioDelta(cur, phaseIO)))
 			sp.EndAt(now)
 			phaseStart, phaseIO = now, cur
 		}
@@ -525,7 +491,7 @@ func RunObserver(began time.Time, opts Options, stats func() IOStats, labelOf fu
 		closer = func() {
 			if resid := ioDelta(stats(), phaseIO); resid != (IOStats{}) {
 				sp := runSpan.ChildAt("tail", phaseStart)
-				sp.SetIO(traceIO(resid))
+				sp.SetIO(TraceIO(resid))
 				sp.End()
 			}
 		}
@@ -533,12 +499,9 @@ func RunObserver(began time.Time, opts Options, stats func() IOStats, labelOf fu
 	return obs, closer
 }
 
-// SamplingResult converts a core sampling result into an engine Result —
-// the assembly shared by runWithTarget and the cluster coordinator (the
-// coordinator folds shard partials into the same core run, so sharing
-// the assembly keeps coordinated answers byte-identical to single-node
-// ones). Sampler diagnostics are the caller's to attach.
-func SamplingResult(coreRes *core.Result, io IOStats, duration time.Duration, grpLabels []string, labelOf func(int) string) *Result {
+// samplingResult converts a core sampling result into an engine Result.
+// Sampler diagnostics are the caller's to attach.
+func samplingResult(coreRes *core.Result, io IOStats, duration time.Duration, grpLabels []string, labelOf func(int) string) *Result {
 	res := &Result{
 		Exact:       coreRes.Exact,
 		Partial:     coreRes.Partial,
@@ -575,9 +538,9 @@ func ioDelta(cur, prev IOStats) IOStats {
 	}
 }
 
-// traceIO converts engine I/O counters to the trace package's
+// TraceIO converts engine I/O counters to the trace package's
 // import-cycle-free mirror struct.
-func traceIO(io IOStats) trace.IO {
+func TraceIO(io IOStats) trace.IO {
 	return trace.IO{
 		BlocksRead:    io.BlocksRead,
 		BlocksSkipped: io.BlocksSkipped,

@@ -234,30 +234,8 @@ func (p *Plan) ResolveTarget(t Target, workers int) (*histogram.Histogram, error
 // resolveTarget is ResolveTarget under an optional run guard: a canceled
 // context aborts the candidate-resolution scan with the typed
 // termination error (a truncated target would be wrong, not partial).
-func (p *Plan) resolveTarget(t Target, workers int, guard *runGuard) (*histogram.Histogram, error) {
-	switch {
-	case len(t.Counts) > 0:
-		if len(t.Counts) != p.grp.groups() {
-			return nil, fmt.Errorf("engine: target has %d groups, query produces %d", len(t.Counts), p.grp.groups())
-		}
-		return histogram.FromCounts(t.Counts), nil
-	case t.Uniform:
-		counts := make([]float64, p.grp.groups())
-		for i := range counts {
-			counts[i] = 1
-		}
-		return histogram.FromCounts(counts), nil
-	case t.Candidate != "":
-		id := -1
-		for i := 0; i < p.cand.numCandidates(); i++ {
-			if p.cand.labelOf(i) == t.Candidate {
-				id = i
-				break
-			}
-		}
-		if id < 0 {
-			return nil, fmt.Errorf("engine: target candidate %q not found", t.Candidate)
-		}
+func (p *Plan) resolveTarget(t Target, workers int, guard *Guard) (*histogram.Histogram, error) {
+	return TargetHistogram(t, p.grp.groups(), p.cand.numCandidates(), p.cand.labelOf, func(id int) (*histogram.Histogram, error) {
 		if p.query.Filter != nil {
 			// A Filter closure written against the pre-planner API may be
 			// stateful; only the explicit ParallelScan executor opts into
@@ -268,6 +246,33 @@ func (p *Plan) resolveTarget(t Target, workers int, guard *runGuard) (*histogram
 		ex := p.newScanExec(workers)
 		ex.guard = guard
 		return ex.candidateHistogram(id)
+	})
+}
+
+// TargetHistogram materializes a target over a plan domain of groups
+// groups and n candidates named by labelOf. Explicit and uniform targets
+// need no data; a candidate target's exact histogram comes from exact.
+// Plan.ResolveTarget and the cluster coordinator share it.
+func TargetHistogram(t Target, groups, n int, labelOf func(int) string, exact func(id int) (*histogram.Histogram, error)) (*histogram.Histogram, error) {
+	switch {
+	case len(t.Counts) > 0:
+		if len(t.Counts) != groups {
+			return nil, fmt.Errorf("engine: target has %d groups, query produces %d", len(t.Counts), groups)
+		}
+		return histogram.FromCounts(t.Counts), nil
+	case t.Uniform:
+		counts := make([]float64, groups)
+		for i := range counts {
+			counts[i] = 1
+		}
+		return histogram.FromCounts(counts), nil
+	case t.Candidate != "":
+		for id := 0; id < n; id++ {
+			if labelOf(id) == t.Candidate {
+				return exact(id)
+			}
+		}
+		return nil, fmt.Errorf("engine: target candidate %q not found", t.Candidate)
 	default:
 		return nil, fmt.Errorf("engine: empty target specification")
 	}

@@ -91,7 +91,7 @@ func (s *IOStats) Add(other IOStats) {
 
 // Chunk-committed parallel sampling rounds
 //
-// Every sampling pass (Stage1 and each SampleUntil round) is driven by a
+// Every segment of a sampling pass (see walk.go) is driven by a
 // single-threaded *planner* that walks the block permutation making every
 // policy decision — consumed-set skips, AnyActive probes, zone-map
 // virtual skips, guard/budget checks — against *committed* state only.
@@ -128,14 +128,13 @@ func (s *IOStats) Add(other IOStats) {
 //
 // Chunk boundaries sit at fixed positions in block-index space — the
 // planner commits after visiting any block b with (b+1) ≡ 0 (mod
-// chunkBlocks()), not after accumulating a buffer's worth of reads — so
+// ChunkBlocks), not after accumulating a buffer's worth of reads — so
 // the commit schedule is a pure function of the block indices walked,
 // independent of how many blocks in a chunk were skipped. That is what
-// lets a distributed coordinator split one global cursor walk into
-// per-shard segments (see shardrun.go): when shard boundaries fall on
-// chunk boundaries, a segment handoff commits exactly where the
-// single-node walk would have committed, and the chained run stays
-// byte-identical to the single-node run over the concatenated data.
+// lets the walk chain one cursor through several runners' segments:
+// when runner boundaries fall on chunk boundaries, a segment handoff
+// commits exactly where one runner over the concatenated blocks would
+// have committed.
 const (
 	// samplerChunkRows sizes the commit granularity: chunks target this
 	// many rows' worth of blocks.
@@ -146,9 +145,10 @@ const (
 	samplerChunkMaxBlocks = 64
 )
 
-// blockSampler implements core.Sampler over a block-structured table. It
-// owns the I/O manager (block reads) and the sampling engine (block
-// selection policy); the statistics engine is internal/core driving it.
+// blockSampler executes walk segments (walk.go) over a block-structured
+// table: it owns the I/O manager (block reads) and the sampling engine
+// (block selection policy). A single-node run keeps one for the whole
+// run; a shard builds one per segment from the request (shardrun.go).
 type blockSampler struct {
 	src    colstore.Reader
 	cand   candidateMapper
@@ -157,12 +157,11 @@ type blockSampler struct {
 	filter func(row int) bool
 	mode   Executor
 
-	guard     *runGuard // nil when nothing enforces termination
+	guard     *Guard // nil when nothing enforces termination
 	lookahead int
 	consumed  *bitmap.Bitset
 	consCnt   int
 	cursor    int
-	exact     []bool // sticky per-candidate exhaustion flags
 	stats     IOStats
 	blockSize int // cached: pruned blocks must not pay BlockSpan
 	rows      int
@@ -205,43 +204,32 @@ type blockSampler struct {
 	wTuples []int64
 	chunks  int64
 
-	// Segment mode (distributed scatter-gather, see shardrun.go): this
-	// sampler executes one shard-local slice of a global cursor walk.
-	// The planner then never wraps locally (the coordinator chains the
-	// walk onto the next shard), bounds each pass by the remaining
-	// global visit budget, and evaluates allConsumed against the global
-	// block count with the other shards' consumed blocks folded in.
-	seg       bool
-	segVisits int // remaining global visits for this pass
-	segGlobal int // global block count across all shards
-	segOthers int // blocks already consumed on other shards
+	// Walk state of the current segment (walk.go): the cursor parks at
+	// NumBlocks (the walk owns the wrap), visits bound the segment, and
+	// allConsumed counts the blocks consumed on other runners too.
+	visits, globalBlocks, othersConsumed int
 }
 
 func newBlockSampler(src colstore.Reader, cand candidateMapper, grp groupMapper,
-	filter func(int) bool, mode Executor, lookahead, startBlock int, guard *runGuard) *blockSampler {
+	filter func(int) bool, mode Executor, lookahead int, guard *Guard) *blockSampler {
 	if lookahead <= 0 {
 		lookahead = 1024
 	}
 	nb := src.NumBlocks()
-	cursor := 0
-	if nb > 0 {
-		cursor = ((startBlock % nb) + nb) % nb
-	}
 	bs := &blockSampler{
-		src:       src,
-		cand:      cand,
-		grp:       grp,
-		filter:    filter,
-		mode:      mode,
-		guard:     guard,
-		lookahead: lookahead,
-		workers:   1,
-		consumed:  bitmap.NewBitset(nb),
-		cursor:    cursor,
-		exact:     make([]bool, cand.numCandidates()),
-		deficit:   make([]int64, cand.numCandidates()),
-		blockSize: src.BlockSize(),
-		rows:      src.NumRows(),
+		src:          src,
+		cand:         cand,
+		grp:          grp,
+		filter:       filter,
+		mode:         mode,
+		guard:        guard,
+		lookahead:    lookahead,
+		workers:      1,
+		consumed:     bitmap.NewBitset(nb),
+		deficit:      make([]int64, cand.numCandidates()),
+		blockSize:    src.BlockSize(),
+		rows:         src.NumRows(),
+		globalBlocks: nb,
 	}
 	if pc, ok := cand.(*predicateCandidates); ok {
 		bs.multi = pc
@@ -249,19 +237,9 @@ func newBlockSampler(src colstore.Reader, cand candidateMapper, grp groupMapper,
 	return bs
 }
 
-// NumCandidates implements core.Sampler.
-func (bs *blockSampler) NumCandidates() int { return bs.cand.numCandidates() }
-
-// Groups implements core.Sampler.
-func (bs *blockSampler) Groups() int { return bs.grp.groups() }
-
-// TotalRows implements core.Sampler.
-func (bs *blockSampler) TotalRows() int64 { return int64(bs.src.NumRows()) }
-
 // Stats returns a snapshot of the I/O counters. The counters are
 // maintained with atomics (workers update them concurrently within a
-// chunk), so Stats may be called while a run is in flight (e.g. by a
-// progress monitor on another goroutine).
+// chunk).
 func (bs *blockSampler) Stats() IOStats {
 	return IOStats{
 		BlocksRead:    atomic.LoadInt64(&bs.stats.BlocksRead),
@@ -274,35 +252,7 @@ func (bs *blockSampler) Stats() IOStats {
 }
 
 func (bs *blockSampler) allConsumed() bool {
-	if bs.seg {
-		return bs.segOthers+bs.consCnt >= bs.segGlobal
-	}
-	return bs.consCnt >= bs.src.NumBlocks()
-}
-
-func (bs *blockSampler) newBatch() *core.Batch {
-	n := bs.cand.numCandidates()
-	return &core.Batch{Counts: make([]int64, n), Hists: make([]*histogram.Histogram, n)}
-}
-
-func (bs *blockSampler) sealBatch(b *core.Batch) *core.Batch {
-	b.Exhausted = bs.allConsumed()
-	b.Exact = append([]bool(nil), bs.exact...)
-	if b.Exhausted {
-		for i := range b.Exact {
-			b.Exact[i] = true
-		}
-	}
-	return b
-}
-
-// Stage1 implements core.Sampler: read whole blocks sequentially until at
-// least m tuples have been drawn. A guard stop returns the partial batch
-// with the termination error (wrapping core.ErrInterrupted).
-func (bs *blockSampler) Stage1(m int) (*core.Batch, error) {
-	batch := bs.newBatch()
-	_, err := bs.runRound(batch, m)
-	return bs.sealBatch(batch), err
+	return bs.othersConsumed+bs.consCnt >= bs.globalBlocks
 }
 
 // skipVirtual consumes a stats-pruned block without reading it. Every
@@ -316,15 +266,7 @@ func (bs *blockSampler) Stage1(m int) (*core.Batch, error) {
 // called: a simulated-latency backend must not sleep for a block the
 // scan proved it does not need.
 func (bs *blockSampler) skipVirtual(b int, batch *core.Batch) {
-	lo := b * bs.blockSize
-	hi := lo + bs.blockSize
-	if hi > bs.rows {
-		hi = bs.rows
-	}
-	batch.Drawn += int64(hi - lo)
-	bs.guard.addRows(int64(hi - lo))
-	bs.consumed.Set(b)
-	bs.consCnt++
+	bs.chargeBlock(b, batch)
 	atomic.AddInt64(&bs.stats.BlocksSkipped, 1)
 	atomic.AddInt64(&bs.stats.BlocksPruned, 1)
 }
@@ -346,47 +288,48 @@ func (bs *blockSampler) chargeBlock(b int, batch *core.Batch) {
 	bs.consCnt++
 }
 
-// SampleUntil implements core.Sampler with the executor's block policy.
-func (bs *blockSampler) SampleUntil(need map[int]int) (*core.Batch, error) {
-	switch bs.mode {
-	case Scan, ScanMatch, SyncMatch, FastMatch:
-	default:
-		return nil, fmt.Errorf("engine: unknown executor %v", bs.mode)
-	}
-	batch := bs.newBatch()
-	bs.unmet = 0
-	for i := range bs.deficit {
-		bs.deficit[i] = 0
-	}
-	for id, n := range need {
-		if id < 0 || id >= bs.cand.numCandidates() {
-			return nil, fmt.Errorf("engine: need for unknown candidate %d", id)
+// segment implements segmentRunner: one slice of a pass from the walk
+// state in req, over this sampler's blocks from req.Cursor. The caller
+// has validated req against the table.
+func (bs *blockSampler) segment(req *ShardSegment) (*segmentOut, error) {
+	bs.cursor = req.Cursor
+	bs.visits = req.Visits
+	bs.globalBlocks = req.GlobalBlocks
+	bs.othersConsumed = req.OthersConsumed
+	stage1Need := -1
+	if req.Kind == SegStage1 {
+		stage1Need = req.Stage1Need
+	} else {
+		bs.unmet = 0
+		for i := range bs.deficit {
+			bs.deficit[i] = 0
 		}
-		if n > 0 && !bs.exact[id] {
-			bs.deficit[id] = int64(n)
-			bs.unmet++
+		for id, d := range req.Deficits {
+			if id < 0 || id >= len(bs.deficit) {
+				return nil, fmt.Errorf("engine: segment deficit for unknown candidate %d", id)
+			}
+			if d > 0 {
+				bs.deficit[id] = d
+				bs.unmet++
+			}
 		}
+		bs.refreshActive()
 	}
-	if bs.unmet == 0 {
-		return bs.sealBatch(batch), nil
-	}
-	bs.refreshActive()
-	if _, stopErr := bs.runRound(batch, -1); stopErr != nil {
-		// Interrupted mid-pass: the exactness inference below needs a
-		// completed pass, so skip it and hand the partial batch up.
-		return bs.sealBatch(batch), stopErr
-	}
-	// Any candidate still in deficit after a full pass has no tuples left
-	// in unconsumed blocks (AnyActive is sound), so its cumulative
-	// estimate is exact.
-	if bs.unmet > 0 {
+	before := bs.Stats()
+	out := &segmentOut{batch: newBatch(bs.cand.numCandidates())}
+	out.visited, out.stop = bs.runRound(out.batch, stage1Need)
+	out.io = ioDelta(bs.Stats(), before)
+	out.cursor = bs.cursor
+	out.consumed = bs.consCnt
+	if req.Kind == SegRound {
+		out.deficits = make(map[int]int64)
 		for id, d := range bs.deficit {
-			if d > 0 && bs.candidateExhausted(id) {
-				bs.exact[id] = true
+			if d > 0 {
+				out.deficits[id] = d
 			}
 		}
 	}
-	return bs.sealBatch(batch), nil
+	return out, nil
 }
 
 // refreshActive rebuilds the committed unmet candidate set.
@@ -399,61 +342,29 @@ func (bs *blockSampler) refreshActive() {
 	}
 }
 
-// advance returns the current cursor block and moves the cursor. In
-// segment mode the cursor parks at NumBlocks instead of wrapping: the
-// coordinator owns the wrap (it chains the walk onto the next shard and
-// accounts the global Wraps counter itself).
-func (bs *blockSampler) advance() int {
-	b := bs.cursor
-	bs.cursor++
-	if bs.cursor >= bs.src.NumBlocks() && !bs.seg {
-		bs.cursor = 0
-		atomic.AddInt64(&bs.stats.Wraps, 1)
-	}
-	return b
-}
-
-// chunkBlocks derives the commit granularity from the block size alone —
-// never from the worker count, which must not influence any decision.
-func (bs *blockSampler) chunkBlocks() int {
-	if bs.blockSize <= 0 {
-		return samplerChunkMinBlocks
-	}
-	c := samplerChunkRows / bs.blockSize
-	if c < samplerChunkMinBlocks {
-		c = samplerChunkMinBlocks
-	}
-	if c > samplerChunkMaxBlocks {
-		c = samplerChunkMaxBlocks
-	}
-	return c
-}
-
-// runRound is the unified planner/committer for one sampling pass.
-// stage1Need ≥ 0 selects stage-1 mode: sequential reads (no AnyActive)
-// until Drawn reaches stage1Need. stage1Need < 0 selects deficit mode:
-// the executor's block policy until every deficit is met (at chunk
-// granularity) or the pass completes. Returns the number of cursor
-// visits consumed and the guard's termination error (nil for a
-// completed pass); on error the pending chunk has been flushed and the
-// batch holds every committed sample.
+// runRound is the unified planner/committer for one segment. stage1Need
+// ≥ 0 selects stage-1 mode: sequential reads (no AnyActive) until Drawn
+// reaches stage1Need. stage1Need < 0 selects deficit mode: the
+// executor's block policy until every deficit is met (at chunk
+// granularity). Either way the segment also ends when every block is
+// consumed, the pass's visits run out, or the cursor reaches the end of
+// the block space. Returns the number of cursor visits consumed and the
+// guard's termination error (nil for a completed segment); on error the
+// pending chunk has been flushed and the batch holds every committed
+// sample.
 func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) (int, error) {
 	total := bs.src.NumBlocks()
 	if total == 0 {
 		return 0, nil
 	}
 	stage1 := stage1Need >= 0
-	chunkCap := bs.chunkBlocks()
+	chunkCap := ChunkBlocks(bs.blockSize)
 	workers := bs.workers
 	if workers > chunkCap {
 		workers = chunkCap
 	}
 	if workers < 1 {
 		workers = 1
-	}
-	limit := total
-	if bs.seg && bs.segVisits < limit {
-		limit = bs.segVisits
 	}
 	ws := bs.newWorkers(workers)
 
@@ -520,7 +431,7 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) (int, error)
 
 	visited := 0
 	var stopErr error
-	for ; visited < limit; visited++ {
+	for ; visited < bs.visits; visited++ {
 		if stage1 {
 			if batch.Drawn >= int64(stage1Need) {
 				break
@@ -531,13 +442,14 @@ func (bs *blockSampler) runRound(batch *core.Batch, stage1Need int) (int, error)
 		if bs.allConsumed() {
 			break
 		}
-		if bs.seg && bs.cursor >= total {
-			break // segment end: the coordinator chains onto the next shard
+		if bs.cursor >= total {
+			break // segment end: the walk moves on to the next runner
 		}
-		if stopErr = bs.guard.stop(); stopErr != nil {
+		if stopErr = bs.guard.Stop(); stopErr != nil {
 			break
 		}
-		b := bs.advance()
+		b := bs.cursor
+		bs.cursor++
 		read := false
 		switch {
 		case !stage1 && bs.mode == FastMatch:
@@ -839,9 +751,9 @@ func (w *samplerWorker) roundBatch() *core.Batch {
 	return &core.Batch{Counts: w.counts, Hists: w.hists}
 }
 
-// candidateExhausted reports whether every block containing candidate i
-// has been consumed.
-func (bs *blockSampler) candidateExhausted(i int) bool {
+// exhausted implements segmentRunner: it reports whether every block
+// containing candidate i has been consumed.
+func (bs *blockSampler) exhausted(i int) bool {
 	cb := bs.cand.candidateBlocks(i)
 	if cb == nil {
 		return bs.allConsumed()

@@ -3,10 +3,19 @@ package engine
 import (
 	"testing"
 
+	"fastmatch/internal/colstore"
 	"fastmatch/internal/core"
 )
 
-func newTestSampler(t *testing.T, exec Executor, rows int, seed int64) (*blockSampler, *Engine) {
+// localWalk is the single-node configuration of the sampling walk: one
+// in-process runner over the whole table, its cursor on block start.
+func localWalk(src colstore.Reader, cand candidateMapper, grp groupMapper, exec Executor, lookahead, start int) *walk {
+	w := newLocalWalk(newBlockSampler(src, cand, grp, nil, exec, lookahead, nil))
+	w.seek(start, 0)
+	return w
+}
+
+func newTestSampler(t *testing.T, exec Executor, rows int, seed int64) (*walk, *Engine) {
 	t.Helper()
 	tbl := testDataset(t, rows, 12, 6, seed)
 	e := New(tbl)
@@ -14,7 +23,7 @@ func newTestSampler(t *testing.T, exec Executor, rows int, seed int64) (*blockSa
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newBlockSampler(tbl, cand, grp, nil, exec, 16, 0, nil), e
+	return localWalk(tbl, cand, grp, exec, 16, 0), e
 }
 
 func TestExecutorString(t *testing.T) {
@@ -30,19 +39,19 @@ func TestExecutorString(t *testing.T) {
 }
 
 func TestSamplerInterfaces(t *testing.T) {
-	bs, _ := newTestSampler(t, ScanMatch, 5000, 20)
-	var _ core.Sampler = bs
-	if bs.NumCandidates() != 12 || bs.Groups() != 6 {
-		t.Fatalf("geometry: %d candidates %d groups", bs.NumCandidates(), bs.Groups())
+	w, _ := newTestSampler(t, ScanMatch, 5000, 20)
+	var _ core.Sampler = w
+	if w.NumCandidates() != 12 || w.Groups() != 6 {
+		t.Fatalf("geometry: %d candidates %d groups", w.NumCandidates(), w.Groups())
 	}
-	if bs.TotalRows() != 5000 {
-		t.Fatalf("TotalRows = %d", bs.TotalRows())
+	if w.TotalRows() != 5000 {
+		t.Fatalf("TotalRows = %d", w.TotalRows())
 	}
 }
 
 func TestStage1DrawsRequested(t *testing.T) {
-	bs, _ := newTestSampler(t, ScanMatch, 10_000, 21)
-	batch, err := bs.Stage1(1000)
+	w, _ := newTestSampler(t, ScanMatch, 10_000, 21)
+	batch, err := w.Stage1(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +68,8 @@ func TestStage1DrawsRequested(t *testing.T) {
 }
 
 func TestStage1ExhaustsSmallData(t *testing.T) {
-	bs, _ := newTestSampler(t, ScanMatch, 500, 22)
-	batch, err := bs.Stage1(10_000)
+	w, _ := newTestSampler(t, ScanMatch, 500, 22)
+	batch, err := w.Stage1(10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +86,9 @@ func TestStage1ExhaustsSmallData(t *testing.T) {
 func TestSampleUntilMeetsNeeds(t *testing.T) {
 	for _, exec := range []Executor{ScanMatch, SyncMatch, FastMatch} {
 		t.Run(exec.String(), func(t *testing.T) {
-			bs, _ := newTestSampler(t, exec, 50_000, 23)
+			w, _ := newTestSampler(t, exec, 50_000, 23)
 			need := map[int]int{0: 100, 1: 50, 5: 200}
-			batch, err := bs.SampleUntil(need)
+			batch, err := w.SampleUntil(need)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,15 +102,15 @@ func TestSampleUntilMeetsNeeds(t *testing.T) {
 }
 
 func TestSampleUntilUnknownCandidate(t *testing.T) {
-	bs, _ := newTestSampler(t, ScanMatch, 1000, 24)
-	if _, err := bs.SampleUntil(map[int]int{99: 1}); err == nil {
+	w, _ := newTestSampler(t, ScanMatch, 1000, 24)
+	if _, err := w.SampleUntil(map[int]int{99: 1}); err == nil {
 		t.Fatal("unknown candidate accepted")
 	}
 }
 
 func TestSampleUntilEmptyNeed(t *testing.T) {
-	bs, _ := newTestSampler(t, FastMatch, 1000, 25)
-	batch, err := bs.SampleUntil(map[int]int{})
+	w, _ := newTestSampler(t, FastMatch, 1000, 25)
+	batch, err := w.SampleUntil(map[int]int{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +122,9 @@ func TestSampleUntilEmptyNeed(t *testing.T) {
 func TestSampleUntilImpossibleNeedMarksExact(t *testing.T) {
 	for _, exec := range []Executor{ScanMatch, SyncMatch, FastMatch} {
 		t.Run(exec.String(), func(t *testing.T) {
-			bs, _ := newTestSampler(t, exec, 3000, 26)
+			w, _ := newTestSampler(t, exec, 3000, 26)
 			// Demand far more than any candidate has.
-			batch, err := bs.SampleUntil(map[int]int{0: 1_000_000})
+			batch, err := w.SampleUntil(map[int]int{0: 1_000_000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,12 +138,12 @@ func TestSampleUntilImpossibleNeedMarksExact(t *testing.T) {
 func TestBatchesAreFresh(t *testing.T) {
 	// Two successive batches must contain disjoint tuples: combined drawn
 	// never exceeds the table size.
-	bs, _ := newTestSampler(t, FastMatch, 20_000, 27)
-	b1, err := bs.SampleUntil(map[int]int{0: 300})
+	w, _ := newTestSampler(t, FastMatch, 20_000, 27)
+	b1, err := w.SampleUntil(map[int]int{0: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := bs.SampleUntil(map[int]int{0: 300})
+	b2, err := w.SampleUntil(map[int]int{0: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +158,11 @@ func TestBatchesAreFresh(t *testing.T) {
 func TestCumulativeBatchesEqualExactOnExhaustion(t *testing.T) {
 	for _, exec := range []Executor{ScanMatch, SyncMatch, FastMatch} {
 		t.Run(exec.String(), func(t *testing.T) {
-			bs, e := newTestSampler(t, exec, 4000, 28)
+			w, e := newTestSampler(t, exec, 4000, 28)
 			// Exhaust via repeated sampling.
-			acc := make([]int64, bs.NumCandidates())
+			acc := make([]int64, w.NumCandidates())
 			for {
-				batch, err := bs.SampleUntil(map[int]int{0: 1 << 30})
+				batch, err := w.SampleUntil(map[int]int{0: 1 << 30})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +175,7 @@ func TestCumulativeBatchesEqualExactOnExhaustion(t *testing.T) {
 			}
 			// Compare with exact scan counts.
 			z, _ := e.Source().ColumnByName("Z")
-			exact := make([]int64, bs.NumCandidates())
+			exact := make([]int64, w.NumCandidates())
 			for i := 0; i < e.Source().NumRows(); i++ {
 				exact[z.Code(i)]++
 			}
@@ -200,15 +209,15 @@ func TestSyncMatchSkipsForRareActive(t *testing.T) {
 			rare, rareCount = i, c
 		}
 	}
-	bs := newBlockSampler(tbl, cand, grp, nil, SyncMatch, 16, 0, nil)
-	batch, err := bs.SampleUntil(map[int]int{rare: rareCount})
+	w := localWalk(tbl, cand, grp, SyncMatch, 16, 0)
+	batch, err := w.SampleUntil(map[int]int{rare: rareCount})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if batch.Counts[rare] != int64(rareCount) {
 		t.Fatalf("rare candidate got %d of %d", batch.Counts[rare], rareCount)
 	}
-	if bs.Stats().BlocksSkipped == 0 {
+	if w.Stats().BlocksSkipped == 0 {
 		t.Fatal("SyncMatch with one rare active candidate skipped nothing")
 	}
 }
@@ -222,8 +231,8 @@ func TestLookaheadWindowSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := newBlockSampler(tbl, cand, grp, nil, FastMatch, la, 3, nil)
-		batch, err := bs.SampleUntil(map[int]int{0: 50})
+		w := localWalk(tbl, cand, grp, FastMatch, la, 3)
+		batch, err := w.SampleUntil(map[int]int{0: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +246,7 @@ func TestDefaultLookahead(t *testing.T) {
 	tbl := testDataset(t, 1000, 5, 4, 31)
 	e := New(tbl)
 	cand, grp, _ := e.plan(baseQuery())
-	bs := newBlockSampler(tbl, cand, grp, nil, FastMatch, 0, 0, nil)
+	bs := newBlockSampler(tbl, cand, grp, nil, FastMatch, 0, nil)
 	if bs.lookahead != 1024 {
 		t.Fatalf("default lookahead = %d", bs.lookahead)
 	}
@@ -249,9 +258,9 @@ func TestStartBlockNormalization(t *testing.T) {
 	cand, grp, _ := e.plan(baseQuery())
 	nb := tbl.NumBlocks()
 	for _, start := range []int{-1, -nb - 3, nb + 5, 0} {
-		bs := newBlockSampler(tbl, cand, grp, nil, ScanMatch, 16, start, nil)
-		if bs.cursor < 0 || bs.cursor >= nb {
-			t.Fatalf("start %d normalized to out-of-range cursor %d", start, bs.cursor)
+		w := localWalk(tbl, cand, grp, ScanMatch, 16, start)
+		if w.cursor < 0 || w.cursor >= nb {
+			t.Fatalf("start %d normalized to out-of-range cursor %d", start, w.cursor)
 		}
 	}
 }

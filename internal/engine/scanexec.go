@@ -31,7 +31,7 @@ type scanExec struct {
 	workers int
 	// guard, when non-nil, is consulted once per block so a canceled or
 	// budget-capped scan unwinds promptly with partial accumulators.
-	guard *runGuard
+	guard *Guard
 	// emit, when non-nil, receives an I/O snapshot every
 	// scanProgressInterval blocks. It is only set for single-worker
 	// scans: parallel workers race, so their interleaving (and thus any
@@ -145,7 +145,7 @@ func (s *scanExec) scanRange(loBlock, hiBlock int, only *bitmap.Bitset, keep int
 	}
 	var multiBuf []int
 	for b := loBlock; b < hiBlock; b++ {
-		if err := s.guard.stop(); err != nil {
+		if err := s.guard.Stop(); err != nil {
 			part.err = err
 			return finish()
 		}
@@ -259,7 +259,7 @@ func (s *scanExec) run(only *bitmap.Bitset, keep int) ([]*histogram.Histogram, I
 		if s.span != nil && part.times != nil {
 			sp := s.span.ChildAt(fmt.Sprintf("worker%d", w), part.times.began)
 			sp.SetAttr("blocks", [2]int{ranges[w][0], ranges[w][1]})
-			sp.SetIO(traceIO(part.io))
+			sp.SetIO(TraceIO(part.io))
 			sp.EndAt(part.times.ended)
 		}
 		for i, h := range part.hists {
@@ -291,7 +291,7 @@ func (s *scanExec) candidateHistogram(id int) (*histogram.Histogram, error) {
 // (guard fired) instead returns a best-effort Result — Partial set, no σ
 // pruning (selectivities from a truncated pass are biased), candidates
 // ranked by their partial histograms — alongside the termination error.
-func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, guard *runGuard, emit func(io IOStats), span *trace.Span) (*Result, error) {
+func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, guard *Guard, emit func(io IOStats), span *trace.Span) (*Result, error) {
 	params := opts.Params
 	if err := params.Validate(); err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"time"
 
 	"fastmatch/internal/bitmap"
@@ -15,14 +14,14 @@ import (
 
 // Distributed shard segments
 //
-// A cluster coordinator (internal/cluster) executes one logical sampling
-// run whose block space is the concatenation of N row-range shards, each
-// served by an independent fastmatchd process. The coordinator drives
-// core.RunObserved itself; its sampler chains the global cursor walk
-// through per-shard *segments* — each segment is one stateless call into
-// this file, carrying the walk's committed state in (consumed bitmap,
-// cursor, deficits, residual budgets) and returning the updated state
-// plus a mergeable core.Batch partial.
+// A cluster coordinator (internal/cluster) runs one logical query over
+// the concatenated blocks of N row-range shards, each served by its own
+// fastmatchd. A sampling run is the walk a single node runs (walk.go)
+// with one remote runner per shard: each segment is one stateless call
+// into this file, carrying the walk's state in (cursor, the shard's
+// consumed bitmap, deficits, residual budget) and returning it updated
+// plus a mergeable core.Batch partial, computed by the same
+// blockSampler.segment a single node's in-process runner calls.
 //
 // Byte-identity with a single node over the concatenated data rests on
 // three alignment facts, all enforced elsewhere and assumed here:
@@ -190,23 +189,6 @@ type ShardSegmentResult struct {
 	Stopped string `json:"stopped,omitempty"`
 }
 
-// StopError reconstructs the guard error a stop reason stands for, using
-// the run's global budget accounting so the error text matches what a
-// single-node run would have produced. Returns nil for a completed
-// segment.
-func (r *ShardSegmentResult) StopError(budget, read int64) error {
-	switch r.Stopped {
-	case "":
-		return nil
-	case SegStopBudget:
-		return BudgetStopError(budget, read)
-	case SegStopDeadline:
-		return CanceledStopError(context.DeadlineExceeded)
-	default:
-		return CanceledStopError(context.Canceled)
-	}
-}
-
 // RunShardSegment executes one shard segment against this plan. It is
 // stateless with respect to the plan (safe for concurrent segments) and
 // idempotent with respect to the request.
@@ -225,79 +207,50 @@ func (p *Plan) RunShardSegment(ctx context.Context, req *ShardSegment) (*ShardSe
 
 // segGuard builds the run guard for a segment from the residual
 // termination state.
-func segGuard(ctx context.Context, req *ShardSegment) *runGuard {
-	return newRunGuard(ctx, Options{Deadline: req.Deadline, RowBudget: req.RowBudget})
+func segGuard(ctx context.Context, req *ShardSegment) *Guard {
+	return NewGuard(ctx, Options{Deadline: req.Deadline, RowBudget: req.RowBudget})
 }
 
 func (p *Plan) runSampleSegment(ctx context.Context, req *ShardSegment) (*ShardSegmentResult, error) {
 	nb := p.engine.src.NumBlocks()
-	if req.Cursor < 0 || req.Cursor > nb {
+	consumed := bitsetFromWords(nb, req.Consumed)
+	switch {
+	case req.Executor != ScanMatch && req.Executor != SyncMatch && req.Executor != FastMatch:
+		return nil, fmt.Errorf("engine: segment executor %v does not sample", req.Executor)
+	case req.Cursor < 0 || req.Cursor > nb:
 		return nil, fmt.Errorf("engine: segment cursor %d outside [0, %d]", req.Cursor, nb)
+	case req.Visits < 0:
+		return nil, fmt.Errorf("engine: segment visits %d < 0", req.Visits)
+	case req.Kind == SegStage1 && req.Stage1Need < 0:
+		return nil, fmt.Errorf("engine: segment stage-1 need %d < 0", req.Stage1Need)
+	case req.ConsumedCount != consumed.Count():
+		return nil, fmt.Errorf("engine: segment consumed count %d, bitmap holds %d", req.ConsumedCount, consumed.Count())
+	case req.OthersConsumed < 0 || req.GlobalBlocks < nb+req.OthersConsumed:
+		return nil, fmt.Errorf("engine: segment global blocks %d cannot hold %d local and %d consumed elsewhere", req.GlobalBlocks, nb, req.OthersConsumed)
 	}
-	bs := newBlockSampler(p.engine.src, p.cand, p.grp, p.query.Filter,
-		req.Executor, req.Lookahead, req.Cursor, segGuard(ctx, req))
-	bs.cursor = req.Cursor // undo newBlockSampler's wrap-around normalization
-	bs.workers = req.Workers
-	if bs.workers <= 0 {
-		bs.workers = runtime.GOMAXPROCS(0)
-	}
-	if !req.DisableBlockSkip {
-		bs.skipAll = p.skipAll
-		bs.skipGrp = p.skipGrp
-	}
-	if !req.DisableScanKernels {
-		bs.initFastPath()
-	}
-	bs.seg = true
-	bs.segVisits = req.Visits
-	bs.segGlobal = req.GlobalBlocks
-	bs.segOthers = req.OthersConsumed
-	bs.consumed = bitsetFromWords(nb, req.Consumed)
+	bs := p.newSampler(*req, segGuard(ctx, req))
+	bs.consumed = consumed
 	bs.consCnt = req.ConsumedCount
-
-	batch := bs.newBatch()
-	stage1Need := -1
-	if req.Kind == SegStage1 {
-		stage1Need = req.Stage1Need
-	} else {
-		bs.unmet = 0
-		for id, d := range req.Deficits {
-			if id < 0 || id >= bs.cand.numCandidates() {
-				return nil, fmt.Errorf("engine: segment deficit for unknown candidate %d", id)
-			}
-			if d > 0 {
-				bs.deficit[id] = d
-				bs.unmet++
-			}
-		}
-		bs.refreshActive()
+	out, err := bs.segment(req)
+	if err != nil {
+		return nil, err
 	}
-	visited, stopErr := bs.runRound(batch, stage1Need)
-
 	res := &ShardSegmentResult{
-		Batch:         core.EncodeBatch(batch),
-		IO:            bs.Stats(),
-		Visited:       visited,
-		Cursor:        bs.cursor,
+		Batch:         core.EncodeBatch(out.batch),
+		IO:            out.io,
+		Visited:       out.visited,
+		Cursor:        out.cursor,
 		Consumed:      bitsetWords(bs.consumed),
-		ConsumedCount: bs.consCnt,
-		Stopped:       stopReason(stopErr),
-	}
-	if req.Kind == SegRound {
-		res.Deficits = make(map[int]int64)
-		for id, d := range bs.deficit {
-			if d > 0 {
-				res.Deficits[id] = d
-			}
-		}
+		ConsumedCount: out.consumed,
+		Deficits:      out.deficits,
+		Stopped:       stopReason(out.stop),
 	}
 	// Local-exhaustion flags for every sampling segment (stage 1 consumes
-	// blocks too): the coordinator ANDs the freshest flags per shard, and
+	// blocks too): the coordinator's runner keeps the freshest flags, and
 	// a shard's flags only change when one of its own segments runs.
-	n := bs.cand.numCandidates()
-	res.LocalExhausted = make([]bool, n)
-	for i := 0; i < n; i++ {
-		res.LocalExhausted[i] = bs.candidateExhausted(i)
+	res.LocalExhausted = make([]bool, p.cand.numCandidates())
+	for i := range res.LocalExhausted {
+		res.LocalExhausted[i] = bs.exhausted(i)
 	}
 	return res, nil
 }

@@ -10,17 +10,17 @@ func TestCursorContinuesAcrossStages(t *testing.T) {
 	// Stage 1 then stage-2-style sampling must consume disjoint blocks:
 	// total drawn never exceeds the table, and the consumed set grows
 	// monotonically.
-	bs, _ := newTestSampler(t, FastMatch, 20_000, 50)
-	b1, err := bs.Stage1(2000)
+	w, _ := newTestSampler(t, FastMatch, 20_000, 50)
+	b1, err := w.Stage1(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	read1 := bs.Stats().BlocksRead
-	b2, err := bs.SampleUntil(map[int]int{0: 200, 3: 100})
+	read1 := w.Stats().BlocksRead
+	b2, err := w.SampleUntil(map[int]int{0: 200, 3: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bs.Stats().BlocksRead <= read1 && b2.Drawn > 0 {
+	if w.Stats().BlocksRead <= read1 && b2.Drawn > 0 {
 		t.Fatal("second phase drew tuples without reading blocks")
 	}
 	if b1.Drawn+b2.Drawn > 20_000 {
@@ -40,15 +40,15 @@ func TestWrapAroundFromLateStart(t *testing.T) {
 				t.Fatal(err)
 			}
 			start := tbl.NumBlocks() - 3
-			bs := newBlockSampler(tbl, cand, grp, nil, exec, 16, start, nil)
-			batch, err := bs.SampleUntil(map[int]int{0: 500})
+			w := localWalk(tbl, cand, grp, exec, 16, start)
+			batch, err := w.SampleUntil(map[int]int{0: 500})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if batch.Counts[0] < 500 && !batch.IsExact(0) {
 				t.Fatalf("wrap-around failed to meet need: %d", batch.Counts[0])
 			}
-			if bs.Stats().Wraps == 0 && exec != FastMatch {
+			if w.Stats().Wraps == 0 && exec != FastMatch {
 				t.Fatal("no wrap recorded despite late start")
 			}
 		})
@@ -65,8 +65,8 @@ func TestLookaheadWindowCrossesWrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	nb := tbl.NumBlocks()
-	bs := newBlockSampler(tbl, cand, grp, nil, FastMatch, nb, nb-2, nil) // window spans the wrap
-	batch, err := bs.SampleUntil(map[int]int{1: 100})
+	w := localWalk(tbl, cand, grp, FastMatch, nb, nb-2) // window spans the wrap
+	batch, err := w.SampleUntil(map[int]int{1: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -290,4 +290,25 @@ func TestInternalPartialGuards(t *testing.T) {
 	if got := post(fx.shards[0].URL, cluster.PartialRequest{Table: "fixture", Query: rawQ, Op: "meta"}); got != http.StatusOK {
 		t.Errorf("meta on a shard: want 200, got %d", got)
 	}
+	// Malformed sampling-segment state is a 422, never a segment run as
+	// if it were valid.
+	seg := func(mod func(*engine.ShardSegment)) cluster.PartialRequest {
+		s := &engine.ShardSegment{Kind: engine.SegStage1, Executor: engine.ScanMatch, Visits: 1, GlobalBlocks: 1 << 20, Stage1Need: 100}
+		mod(s)
+		return cluster.PartialRequest{Table: "fixture", Query: rawQ, Op: "segment", Segment: s}
+	}
+	if got := post(fx.shards[0].URL, seg(func(*engine.ShardSegment) {})); got != http.StatusOK {
+		t.Errorf("valid segment: want 200, got %d", got)
+	}
+	for name, mod := range map[string]func(*engine.ShardSegment){
+		"executor 99":                         func(s *engine.ShardSegment) { s.Executor = 99 },
+		"executor Scan":                       func(s *engine.ShardSegment) { s.Executor = engine.Scan },
+		"negative stage-1 need":               func(s *engine.ShardSegment) { s.Stage1Need = -5 },
+		"negative visits":                     func(s *engine.ShardSegment) { s.Visits = -3 },
+		"consumed count with an empty bitmap": func(s *engine.ShardSegment) { s.ConsumedCount = 7 },
+	} {
+		if got := post(fx.shards[0].URL, seg(mod)); got != http.StatusUnprocessableEntity {
+			t.Errorf("%s: want 422, got %d", name, got)
+		}
+	}
 }
