@@ -350,18 +350,18 @@ func pscanSetup(b *testing.B) (*engine.Plan, *histogram.Histogram) {
 	return pscanPlan, pscanTgt
 }
 
-// BenchmarkParallelScan measures the partitioned exact pass at 1/2/4/8
-// workers against the sequential Scan baseline on a 1M-row datagen table.
-// Results are byte-identical across rows (see TestParallelScanMatchesScan);
-// only the wall clock changes.
-func BenchmarkParallelScan(b *testing.B) {
+// BenchmarkScan measures the exact pass at 1/2/4/8 workers on a 1M-row
+// datagen table. Results are byte-identical across rows (see
+// internal/engine's TestScanAtAnyWorkerCount); only the wall clock
+// changes.
+func BenchmarkScan(b *testing.B) {
 	p, target := pscanSetup(b)
 	params := coreParamsForBench(1_000_000, 0)
-	run := func(b *testing.B, exec engine.Executor, workers int) {
+	run := func(b *testing.B, workers int) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			res, err := p.RunWithTarget(target, engine.Options{
-				Params: params, Executor: exec, Workers: workers,
+				Params: params, Executor: engine.Scan, Workers: workers,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -371,10 +371,9 @@ func BenchmarkParallelScan(b *testing.B) {
 			}
 		}
 	}
-	b.Run("Scan", func(b *testing.B) { run(b, engine.Scan, 0) })
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			run(b, engine.ParallelScan, workers)
+			run(b, workers)
 		})
 	}
 }

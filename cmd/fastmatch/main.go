@@ -33,8 +33,8 @@ func main() {
 	epsilon := flag.Float64("epsilon", 0.1, "approximation error bound ε")
 	delta := flag.Float64("delta", 0.01, "error probability bound δ")
 	sigma := flag.Float64("sigma", 0.001, "minimum selectivity threshold σ")
-	executor := flag.String("executor", "fastmatch", "scan, parallelscan, scanmatch, syncmatch, or fastmatch")
-	workers := flag.Int("workers", 0, "parallelscan worker count (0 = GOMAXPROCS)")
+	executor := flag.String("executor", "fastmatch", "scan, scanmatch, syncmatch, or fastmatch (parallelscan is an alias of scan)")
+	workers := flag.Int("workers", 0, "worker goroutines for the scan and the sampling rounds (0 = GOMAXPROCS)")
 	metric := flag.String("metric", "l1", "distance metric: l1 or l2")
 	targetCandidate := flag.String("target-candidate", "", "candidate value whose histogram is the target")
 	targetUniform := flag.Bool("target-uniform", false, "target the uniform distribution")
@@ -122,10 +122,8 @@ func main() {
 
 func parseExecutor(s string) (fastmatch.Executor, error) {
 	switch strings.ToLower(s) {
-	case "scan":
+	case "scan", "parallelscan":
 		return fastmatch.Scan, nil
-	case "parallelscan":
-		return fastmatch.ParallelScan, nil
 	case "scanmatch":
 		return fastmatch.ScanMatch, nil
 	case "syncmatch":
@@ -133,7 +131,7 @@ func parseExecutor(s string) (fastmatch.Executor, error) {
 	case "fastmatch":
 		return fastmatch.FastMatch, nil
 	}
-	return 0, fmt.Errorf("unknown executor %q", s)
+	return 0, fmt.Errorf("unknown executor %q (want scan, scanmatch, syncmatch, or fastmatch)", s)
 }
 
 func parseMetric(s string) (fastmatch.Metric, error) {

@@ -166,7 +166,8 @@ type (
 
 // Executor variants, in increasing sophistication (§5.2 of the paper).
 const (
-	// Scan is the exact full-pass baseline.
+	// Scan is the exact full-pass baseline, read by Options.Workers
+	// goroutines (default GOMAXPROCS) with identical results at any count.
 	Scan = engine.Scan
 	// ScanMatch samples sequentially without block skipping.
 	ScanMatch = engine.ScanMatch
@@ -174,9 +175,6 @@ const (
 	SyncMatch = engine.SyncMatch
 	// FastMatch adds asynchronous lookahead marking — the full system.
 	FastMatch = engine.FastMatch
-	// ParallelScan is the exact baseline partitioned over Options.Workers
-	// goroutines (default GOMAXPROCS); results are identical to Scan.
-	ParallelScan = engine.ParallelScan
 )
 
 // Distance metrics.

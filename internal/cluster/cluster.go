@@ -247,7 +247,7 @@ func (st *runState) resolveTarget(ctx context.Context, t engine.Target) (*histog
 // single-node analogue — an interrupted target scan — errors too).
 func (st *runState) resolveCandidateTarget(ctx context.Context, id int) (*histogram.Histogram, error) {
 	h := histogram.New(st.ref.Groups)
-	fold := func(sr *shardRun, res *engine.ShardSegmentResult, err error) error {
+	fold := func(sr *shardRun, _ *engine.ShardSegment, res *engine.ShardSegmentResult, err error) error {
 		var part *core.Batch
 		if err == nil {
 			part, err = core.DecodeBatch(res.Batch)
@@ -275,22 +275,8 @@ func (st *runState) resolveCandidateTarget(ctx context.Context, id int) (*histog
 		st.guard.Limit(req)
 		return req
 	}
-	if st.sequential() {
-		for _, sr := range st.walk {
-			if err := st.guard.Stop(); err != nil {
-				return nil, err
-			}
-			res, err := sr.shard.Segment(ctx, mkReq())
-			if err := fold(sr, res, err); err != nil {
-				return nil, err
-			}
-		}
-		return h, nil
-	}
-	for _, r := range st.fanout(ctx, mkReq) {
-		if err := fold(r.sr, r.res, r.err); err != nil {
-			return nil, err
-		}
+	if err := st.scatter(ctx, st.sequential(), mkReq, fold); err != nil {
+		return nil, err
 	}
 	return h, nil
 }
@@ -310,7 +296,7 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Resu
 	cross, frac := opts.Crossover(st.totalRows, st.ref.Groups)
 	runSpan.SetAttr("crossover", cross)
 	runSpan.SetAttr("predicted_fraction", frac)
-	if cross || opts.Executor == engine.Scan || opts.Executor == engine.ParallelScan {
+	if cross || opts.Executor == engine.Scan {
 		return st.runScan(ctx, target, began, runSpan, cross)
 	}
 	// A sampling segment is one Shard.Segment call decoded here. The walk
@@ -325,7 +311,8 @@ func (st *runState) run(ctx context.Context, target *histogram.Histogram) (*Resu
 		part, err := st.decode(st.walk[i], req, res, err, runSpan, false)
 		return res, part, err
 	}
-	res, err := engine.SampleShards(metas, call, st.degraded, target, opts, st.guard, began, runSpan)
+	lost := func(i int, err error) { st.markDead(st.walk[i], err) }
+	res, err := engine.SampleShards(metas, call, lost, st.degraded, target, opts, st.guard, began, runSpan)
 	if res == nil {
 		return nil, err
 	}
@@ -377,29 +364,41 @@ func (st *runState) finish(res *engine.Result) *Result {
 	return out
 }
 
-type fanoutResult struct {
-	sr  *shardRun
-	res *engine.ShardSegmentResult
-	err error
-}
-
-// fanout issues one segment per shard concurrently and returns the
-// responses in shard order; folding happens on the caller's goroutine.
-// Only order-independent folds (integer-sum merges) may use this;
-// budgeted runs must go sequential.
-func (st *runState) fanout(ctx context.Context, mkReq func() *engine.ShardSegment) []fanoutResult {
-	out := make([]fanoutResult, len(st.walk))
+// scatter issues one segment per live shard and folds the answers on
+// the caller's goroutine, in shard order, until a fold fails. Unchained,
+// the segments fan out concurrently: the folds are integer-sum merges, so
+// their order does not matter. Chained, the shards run one at a time and
+// the guard is checked before each segment, so a budget or deadline stop
+// lands on the block a single node would stop at.
+func (st *runState) scatter(ctx context.Context, chain bool, mkReq func() *engine.ShardSegment,
+	fold func(*shardRun, *engine.ShardSegment, *engine.ShardSegmentResult, error) error) error {
+	reqs := make([]*engine.ShardSegment, len(st.walk))
+	ress := make([]*engine.ShardSegmentResult, len(st.walk))
+	errs := make([]error, len(st.walk))
+	call := func(i int) {
+		reqs[i] = mkReq()
+		ress[i], errs[i] = st.walk[i].shard.Segment(ctx, reqs[i])
+	}
 	var wg sync.WaitGroup
-	for i, sr := range st.walk {
-		wg.Add(1)
-		go func(i int, sr *shardRun) {
-			defer wg.Done()
-			res, err := sr.shard.Segment(ctx, mkReq())
-			out[i] = fanoutResult{sr: sr, res: res, err: err}
-		}(i, sr)
+	for i := range st.walk {
+		if !chain {
+			wg.Add(1)
+			go func() { defer wg.Done(); call(i) }()
+		}
 	}
 	wg.Wait()
-	return out
+	for i, sr := range st.walk {
+		if chain {
+			if err := st.guard.Stop(); err != nil {
+				return err
+			}
+			call(i)
+		}
+		if err := fold(sr, reqs[i], ress[i], errs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // shardSpan records a segment call's trace child. Sampling segments are

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fastmatch/internal/colstore"
 	"fastmatch/internal/core"
@@ -149,7 +150,7 @@ func allExecutors() []engine.Executor {
 }
 
 func isSampling(exec engine.Executor) bool {
-	return exec != engine.Scan && exec != engine.ParallelScan
+	return exec != engine.Scan
 }
 
 // TestCoordinatedByteIdentical is the core contract: for K in {1,2,3}
@@ -430,10 +431,11 @@ func TestCoordinatedAudit(t *testing.T) {
 }
 
 // serialShard records how many segment calls of a shard set are in
-// flight at once.
+// flight at once, and the Workers every segment carried.
 type serialShard struct {
 	*planShard
 	inflight, peak *atomic.Int64
+	workers        chan int
 }
 
 func (s serialShard) Segment(ctx context.Context, seg *engine.ShardSegment) (*engine.ShardSegmentResult, error) {
@@ -445,15 +447,17 @@ func (s serialShard) Segment(ctx context.Context, seg *engine.ShardSegment) (*en
 			break
 		}
 	}
+	s.workers <- seg.Workers
 	return s.planShard.Segment(ctx, seg)
 }
 
 // TestCoordinatedCrossover pins the shared crossover decision: a
 // coordinated sampling run over a table small enough to cross over is
-// answered by a Scan chained through the shards one at a time, and its
-// result bytes equal the single-node crossover's for K in {1, 2, 3}.
-// Progress frames are not compared: a coordinated Scan emits one per
-// shard, a single-node Scan one every few hundred blocks.
+// answered by a Scan chained through the shards one at a time, each
+// segment on the run's Workers, and its result bytes equal the
+// single-node crossover's for K in {1, 2, 3}. Progress frames are not
+// compared: a coordinated Scan emits one per shard, a single-node Scan
+// one every few hundred blocks.
 func TestCoordinatedCrossover(t *testing.T) {
 	const rows = 40_000
 	tbl, _ := clusterDataset(t, rows, 1)
@@ -461,6 +465,7 @@ func TestCoordinatedCrossover(t *testing.T) {
 	for _, exec := range []engine.Executor{engine.ScanMatch, engine.SyncMatch, engine.FastMatch} {
 		opts := clusterOptions(exec)
 		opts.DisableCrossover = false
+		opts.Workers = 3
 		res, err := single.Run(baseQuery(), engine.Target{Uniform: true}, opts)
 		if err != nil {
 			t.Fatalf("%s single-node: %v", exec, err)
@@ -473,9 +478,10 @@ func TestCoordinatedCrossover(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/k=%d", exec, k), func(t *testing.T) {
 				_, parts := clusterDataset(t, rows, k)
 				var inflight, peak atomic.Int64
+				workers := make(chan int, k)
 				shards := shardSet(t, parts)
 				for i, sh := range shards {
-					shards[i] = serialShard{planShard: sh.(*planShard), inflight: &inflight, peak: &peak}
+					shards[i] = serialShard{planShard: sh.(*planShard), inflight: &inflight, peak: &peak, workers: workers}
 				}
 				cres, err := New(shards...).Run(context.Background(), engine.Target{Uniform: true}, opts)
 				if err != nil {
@@ -487,7 +493,85 @@ func TestCoordinatedCrossover(t *testing.T) {
 				if p := peak.Load(); p != 1 {
 					t.Fatalf("k=%d crossover ran %d shard segments at once, want them chained", k, p)
 				}
+				close(workers)
+				for w := range workers {
+					if w != opts.Workers {
+						t.Fatalf("k=%d crossover segment carried Workers %d, want the run's %d", k, w, opts.Workers)
+					}
+				}
 			})
 		}
+	}
+}
+
+// tamperShard answers sampling segments with the real shard's answer
+// altered by tamper, so the coordinator meets answers it must not trust.
+type tamperShard struct {
+	*planShard
+	tamper func(*engine.ShardSegment, *engine.ShardSegmentResult)
+}
+
+func (s tamperShard) Segment(ctx context.Context, seg *engine.ShardSegment) (*engine.ShardSegmentResult, error) {
+	req := *seg
+	res, err := s.planShard.Segment(ctx, seg)
+	if err == nil && (seg.Kind == engine.SegStage1 || seg.Kind == engine.SegRound) {
+		s.tamper(&req, res)
+	}
+	return res, err
+}
+
+// TestCoordinatedUntrustedAnswer pins that a shard answering a sampling
+// segment with state the walk cannot use is lost like a failed call:
+// the run completes degraded, Partial, with that shard named, instead of
+// panicking on a short flag slice or re-issuing a segment that never
+// advances until the context deadline.
+func TestCoordinatedUntrustedAnswer(t *testing.T) {
+	cases := []struct {
+		name   string
+		tamper func(*engine.ShardSegment, *engine.ShardSegmentResult)
+	}{
+		{"short exhaustion flags", func(_ *engine.ShardSegment, r *engine.ShardSegmentResult) {
+			r.LocalExhausted = r.LocalExhausted[:1]
+		}},
+		{"long consumed bitmap", func(_ *engine.ShardSegment, r *engine.ShardSegmentResult) {
+			r.Consumed = append(r.Consumed, 0)
+		}},
+		{"cursor past the shard", func(_ *engine.ShardSegment, r *engine.ShardSegmentResult) {
+			r.Cursor = 1 << 20
+		}},
+		{"no progress", func(req *engine.ShardSegment, r *engine.ShardSegmentResult) {
+			// The request's own state back, nothing drawn.
+			n := len(r.LocalExhausted)
+			r.Batch = core.EncodeBatch(&core.Batch{Counts: make([]int64, n), Hists: make([]*histogram.Histogram, n)})
+			r.IO, r.Visited, r.Cursor, r.Stopped = engine.IOStats{}, 0, req.Cursor, ""
+			r.ConsumedCount, r.Deficits = req.ConsumedCount, req.Deficits
+			if req.Consumed != nil {
+				r.Consumed = req.Consumed
+			} else {
+				r.Consumed = make([]uint64, len(r.Consumed))
+			}
+		}},
+	}
+	_, parts := clusterDataset(t, 40_000, 3)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			shards := shardSet(t, parts)
+			shards[1] = tamperShard{planShard: shards[1].(*planShard), tamper: c.tamper}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			cres, err := New(shards...).Run(ctx, engine.Target{Uniform: true}, clusterOptions(engine.ScanMatch))
+			if err != nil {
+				t.Fatalf("an untrusted answer must degrade the run, not fail it: %v", err)
+			}
+			if !cres.Degraded || len(cres.Missing) != 1 || cres.Missing[0] != "s1" {
+				t.Fatalf("degraded=%v missing=%v, want s1 lost", cres.Degraded, cres.Missing)
+			}
+			if !cres.Result.Partial || cres.Result.Exact {
+				t.Fatalf("partial=%v exact=%v, want a partial answer", cres.Result.Partial, cres.Result.Exact)
+			}
+			if st := cres.Shards[1]; st.Healthy || st.Error == "" {
+				t.Fatalf("shard status %+v, want unhealthy with an error", st)
+			}
+		})
 	}
 }

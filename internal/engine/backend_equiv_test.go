@@ -57,7 +57,7 @@ func canonicalResult(t testing.TB, res *Result) string {
 // Scan with Scan.
 func requireSampled(t testing.TB, exec Executor, res *Result) {
 	t.Helper()
-	if exec != Scan && exec != ParallelScan && res.Sampler == nil {
+	if exec != Scan && res.Sampler == nil {
 		t.Fatalf("%s run was answered by Scan, not the sampler", exec)
 	}
 }
@@ -77,8 +77,35 @@ func equivOptions(exec Executor, nb int) Options {
 	}
 }
 
-func allExecutors() []Executor {
-	return []Executor{Scan, ParallelScan, ScanMatch, SyncMatch, FastMatch}
+// execCase is one executor configuration the equivalence suites sweep.
+// Scan runs twice: "Scan" pins one worker, the sequential reference, and
+// "ParallelScan" keeps the suite's Workers (above 1), so every suite holds
+// the multi-worker Scan to the same expectations.
+type execCase struct {
+	Executor
+	name    string
+	workers int // > 0 overrides the suite's Options.Workers
+}
+
+func (c execCase) String() string { return c.name }
+
+// options applies the case to a suite's options.
+func (c execCase) options(o Options) Options {
+	o.Executor = c.Executor
+	if c.workers > 0 {
+		o.Workers = c.workers
+	}
+	return o
+}
+
+func allExecutors() []execCase {
+	return []execCase{
+		{Scan, "Scan", 1},
+		{Scan, "ParallelScan", 0},
+		{ScanMatch, "ScanMatch", 0},
+		{SyncMatch, "SyncMatch", 0},
+		{FastMatch, "FastMatch", 0},
+	}
 }
 
 func TestBackendsAreByteIdentical(t *testing.T) {
@@ -110,7 +137,7 @@ func TestBackendsAreByteIdentical(t *testing.T) {
 	for _, qc := range queries {
 		for _, exec := range allExecutors() {
 			t.Run(fmt.Sprintf("%s/%s", qc.name, exec), func(t *testing.T) {
-				opts := equivOptions(exec, tbl.NumBlocks())
+				opts := exec.options(equivOptions(exec.Executor, tbl.NumBlocks()))
 				a, err := inmem.Run(qc.q, qc.target, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -119,7 +146,7 @@ func TestBackendsAreByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSampled(t, exec, a)
+				requireSampled(t, exec.Executor, a)
 				if a.IO != b.IO {
 					t.Fatalf("IOStats diverge: inmem %+v, mmap %+v", a.IO, b.IO)
 				}

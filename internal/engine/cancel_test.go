@@ -134,7 +134,7 @@ func TestCancelMidScanAllExecutorsAllBackends(t *testing.T) {
 				defer cancel()
 				q := baseQuery()
 				q.Filter = cancelAfterRows(cancel, 5_000)
-				res, err := eng.RunContext(ctx, q, Target{Uniform: true}, cancelOptions(exec, src.NumBlocks()))
+				res, err := eng.RunContext(ctx, q, Target{Uniform: true}, exec.options(cancelOptions(exec.Executor, src.NumBlocks())))
 				if !errors.Is(err, ErrCanceled) {
 					t.Fatalf("want ErrCanceled, got %v", err)
 				}
@@ -167,7 +167,7 @@ func TestCachesServeIdenticalResultsAfterCancellation(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				q := baseQuery()
 				q.Filter = cancelAfterRows(cancel, 2_000)
-				if _, err := scarred.RunContext(ctx, q, Target{Uniform: true}, cancelOptions(exec, src.NumBlocks())); !errors.Is(err, ErrCanceled) {
+				if _, err := scarred.RunContext(ctx, q, Target{Uniform: true}, exec.options(cancelOptions(exec.Executor, src.NumBlocks()))); !errors.Is(err, ErrCanceled) {
 					cancel()
 					t.Fatalf("%v: cancellation did not fire: %v", exec, err)
 				}
@@ -175,7 +175,7 @@ func TestCachesServeIdenticalResultsAfterCancellation(t *testing.T) {
 			}
 			pristine := New(src)
 			for _, exec := range allExecutors() {
-				opts := cancelOptions(exec, src.NumBlocks())
+				opts := exec.options(cancelOptions(exec.Executor, src.NumBlocks()))
 				a, err := scarred.Run(baseQuery(), Target{Uniform: true}, opts)
 				if err != nil {
 					t.Fatalf("%v on scarred engine: %v", exec, err)
@@ -198,7 +198,7 @@ func TestRowBudgetReturnsPartialResult(t *testing.T) {
 	const budget = 3_000
 	for _, exec := range allExecutors() {
 		t.Run(exec.String(), func(t *testing.T) {
-			opts := cancelOptions(exec, tbl.NumBlocks())
+			opts := exec.options(cancelOptions(exec.Executor, tbl.NumBlocks()))
 			opts.RowBudget = budget
 			res, err := eng.Run(baseQuery(), Target{Uniform: true}, opts)
 			if !errors.Is(err, ErrBudgetExhausted) {
@@ -385,7 +385,7 @@ func TestProgressMatchesPlainRun(t *testing.T) {
 	tbl := testDataset(t, 40_000, 20, 8, 5)
 	eng := New(tbl)
 	for _, exec := range allExecutors() {
-		opts := cancelOptions(exec, tbl.NumBlocks())
+		opts := exec.options(cancelOptions(exec.Executor, tbl.NumBlocks()))
 		plain, err := eng.Run(baseQuery(), Target{Uniform: true}, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -396,11 +396,11 @@ func TestProgressMatchesPlainRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSampled(t, exec, plain)
+		requireSampled(t, exec.Executor, plain)
 		if canonicalResult(t, plain) != canonicalResult(t, observed) {
 			t.Fatalf("%v: OnProgress changed the result", exec)
 		}
-		if exec != ParallelScan && frames == 0 {
+		if frames == 0 {
 			t.Fatalf("%v: no progress frames", exec)
 		}
 	}

@@ -21,7 +21,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 		{Z: "X", X: []string{"W"}},
 		{Z: "W", X: []string{"X"}},
 	}
-	executors := []Executor{Scan, ParallelScan, ScanMatch, SyncMatch, FastMatch}
+	executors := []Executor{Scan, ScanMatch, SyncMatch, FastMatch}
 
 	const goroutines = 12
 	const runsPer = 4
@@ -88,7 +88,7 @@ func TestConcurrentSharedPlan(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			exec := ParallelScan
+			exec := Scan
 			if g%2 == 1 {
 				exec = FastMatch
 			}
@@ -104,8 +104,9 @@ func TestConcurrentSharedPlan(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
 		if g%2 == 0 {
-			// ParallelScan runs must be byte-identical to the Scan truth
-			// even when racing with FastMatch runs on the same Plan.
+			// Two-worker Scan runs must be byte-identical to the
+			// default-width truth even when racing with FastMatch runs on
+			// the same Plan.
 			requireIdenticalResults(t, truth, results[g])
 		}
 	}

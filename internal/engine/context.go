@@ -26,10 +26,10 @@ var (
 
 // Progress is the interim state of a run in flight, delivered through
 // Options.OnProgress. Sampling executors emit one after stage 1, after
-// every HistSim round, and after stage 3; the sequential Scan executor
-// emits one every few hundred blocks of its pass (ParallelScan's workers
-// race, so it reports no interim frames). Estimates carry no guarantee
-// until the run terminates.
+// every HistSim round, and after stage 3; the Scan executor emits one
+// every scanProgressInterval blocks of its pass, carrying the I/O of the
+// storage-order prefix read so far, so its frames are the same at every
+// worker count. Estimates carry no guarantee until the run terminates.
 type Progress struct {
 	// Phase is "stage1", "stage2", "stage3" (sampling executors) or
 	// "scan" (exact pass).
@@ -106,7 +106,12 @@ func (g *Guard) addRows(n int64) {
 // deadline — and the error chain wraps core.ErrInterrupted so HistSim
 // folds the partial batch in and salvages a best-effort answer, plus
 // ErrCanceled/ErrBudgetExhausted (and the context error) for callers.
-func (g *Guard) Stop() error {
+func (g *Guard) Stop() error { return g.stop(true) }
+
+// stop is Stop with the budget check optional: the exact scan fixes its
+// budget stop block before fanning out (scanExec.budgetEnd), so its
+// workers watch only the context and the deadline.
+func (g *Guard) stop(budget bool) error {
 	if g == nil {
 		return nil
 	}
@@ -115,7 +120,7 @@ func (g *Guard) Stop() error {
 			return canceledStop(err)
 		}
 	}
-	if g.budget > 0 && g.rows.Load() >= g.budget {
+	if budget && g.budget > 0 && g.rows.Load() >= g.budget {
 		return g.budgetStop()
 	}
 	if !g.deadline.IsZero() && !time.Now().Before(g.deadline) {

@@ -38,7 +38,6 @@ func TestCrossoverEligibility(t *testing.T) {
 		{"scanmatch", func(o *Options) { o.Executor = ScanMatch }, true},
 		{"syncmatch", func(o *Options) { o.Executor = SyncMatch }, true},
 		{"scan", func(o *Options) { o.Executor = Scan }, false},
-		{"parallelscan", func(o *Options) { o.Executor = ParallelScan }, false},
 		{"disabled", func(o *Options) { o.DisableCrossover = true }, false},
 		{"row budget", func(o *Options) { o.RowBudget = 1 << 40 }, false},
 		{"deadline", func(o *Options) { o.Deadline = time.Now().Add(time.Hour) }, false},

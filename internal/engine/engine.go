@@ -38,14 +38,14 @@ type Query struct {
 	// measure-biased view (Appendix A.1.1); see MeasureBiasedView.
 	Measure string
 	// Filter, when set, restricts the relation to rows where it returns
-	// true (WHERE predicates beyond the candidate equality). The
-	// ParallelScan executor and the sampling executors with Workers > 1
-	// invoke it from several goroutines within one run, and sharing an
-	// Engine or Plan across goroutines makes concurrent runs each call it
-	// too — so unless every run using this query is sequential,
-	// single-worker, and non-ParallelScan, the function must be safe for
-	// concurrent calls. (Candidate-target resolution itself drops to one
-	// worker when a Filter is present.)
+	// true (WHERE predicates beyond the candidate equality). Whenever the
+	// effective Options.Workers is above 1 (the default, GOMAXPROCS, on
+	// a multi-core machine), every executor and candidate-target
+	// resolution invoke it from several goroutines within one run, and
+	// sharing an Engine or Plan across goroutines makes concurrent runs
+	// each call it too — so unless every run using this query is
+	// single-worker and unshared, the function must be safe for
+	// concurrent calls.
 	Filter func(row int) bool
 }
 
@@ -65,8 +65,7 @@ type Target struct {
 type Options struct {
 	// Params are HistSim's knobs (k, ε, δ, σ, m, metric, …).
 	Params core.Params
-	// Executor selects Scan / ScanMatch / SyncMatch / FastMatch /
-	// ParallelScan.
+	// Executor selects Scan / ScanMatch / SyncMatch / FastMatch.
 	Executor Executor
 	// Lookahead is the FastMatch marking window in blocks (default 1024).
 	Lookahead int
@@ -80,23 +79,23 @@ type Options struct {
 	// supply a distinct Seed per run (the CLI tools seed from wall-clock
 	// time).
 	Seed int64
-	// Workers is the goroutine count for the ParallelScan executor, for
-	// parallel candidate-target resolution, and for the block-read fan-out
-	// of the sampling executors' chunk-committed rounds (see
-	// blockSampler); ≤ 0 selects GOMAXPROCS. Sampling results are
-	// byte-identical for every worker count — Workers is purely a
-	// throughput knob there — and Workers == 1 runs the sampling round
-	// inline with no goroutines at all. The sequential Scan executor is
-	// the single-threaded exact baseline by definition and ignores
-	// Workers; ParallelScan is its parallel counterpart.
+	// Workers is the goroutine count for the Scan executor's pass
+	// (explicit or by crossover), for candidate-target resolution, and
+	// for the block-read fan-out of the sampling executors'
+	// chunk-committed rounds (see blockSampler); ≤ 0 selects GOMAXPROCS.
+	// Results, progress frames and budget stops are byte-identical for
+	// every worker count — Workers is purely a throughput knob — and
+	// Workers == 1 runs a sampling round or a Scan inline with no
+	// goroutines at all.
 	Workers int
 	// OnProgress, when non-nil, receives interim run state: sampling
 	// executors emit after stage 1, after every HistSim round, and after
-	// stage 3; the sequential Scan executor emits every few hundred
-	// blocks. Callbacks run synchronously on the run's goroutine(s) —
-	// they must be fast and must not block. A nil OnProgress adds no
-	// work to the run. OnProgress does not affect the result and is
-	// excluded from Options.Fingerprint.
+	// stage 3; the Scan executor emits every few hundred blocks of the
+	// storage-order prefix it has read. Callbacks run synchronously on
+	// the run's goroutine(s), one at a time — they must be fast and must
+	// not block. A nil OnProgress adds no work to the run. OnProgress
+	// does not affect the result and is excluded from
+	// Options.Fingerprint.
 	OnProgress func(Progress)
 	// Deadline, when non-zero, is an absolute best-effort stop time for
 	// callers not using a context: past it the run unwinds and returns a
@@ -108,8 +107,9 @@ type Options struct {
 	Deadline time.Time
 	// RowBudget, when > 0, caps the tuples a run may read across all
 	// stages and workers; exhausting it returns a partial Result with
-	// ErrBudgetExhausted. The cap is enforced at block granularity, so
-	// up to one block per worker may be read past it.
+	// ErrBudgetExhausted. The cap is enforced at block granularity: Scan
+	// stops where a one-worker pass would, and the sampling executors
+	// may read up to one block per worker past it.
 	RowBudget int64
 	// DisableBlockSkip turns off statistics-based block pruning. Pruning
 	// never changes results — skipped blocks are provably free of
@@ -142,9 +142,9 @@ type Options struct {
 	// intervals) and a final Result.Quality report. Like OnProgress and
 	// Trace it is purely observational — the answer, sampling schedule,
 	// and I/O are unchanged, and it is excluded from Options.Fingerprint.
-	// The exact Scan/ParallelScan executors ignore it (their answers are
-	// exact; there is no convergence to report), and so does a run the
-	// crossover sends to Scan.
+	// The exact Scan executor ignores it (its answers are exact; there is
+	// no convergence to report), and so does a run the crossover sends
+	// to Scan.
 	Quality bool
 	// DisableCrossover keeps a sampling executor sampling even when
 	// Options.Crossover predicts it would read most of the table. The
@@ -171,8 +171,8 @@ type Result struct {
 	// Stats carries HistSim diagnostics (zero-valued for Scan).
 	Stats core.RunStats
 	// Crossover reports that a sampling executor's run was answered by
-	// the exact sequential Scan instead (see Options.Crossover): the
-	// answer is exact and equals an explicit Scan run's.
+	// the exact Scan instead (see Options.Crossover): the answer is exact
+	// and equals an explicit Scan run's.
 	Crossover bool `json:",omitempty"`
 	// IO carries block-level I/O counters.
 	IO IOStats
@@ -267,8 +267,9 @@ func (e *Engine) Density(column string) (*bitmap.DensityMap, error) {
 }
 
 // ResolveTarget materializes the target histogram for a query. Candidate
-// targets are resolved with an exact parallel scan restricted (via the
-// bitmap index) to the blocks containing the candidate.
+// targets are resolved with an exact scan, on GOMAXPROCS workers,
+// restricted (via the bitmap index) to the blocks containing the
+// candidate.
 func (e *Engine) ResolveTarget(q Query, t Target) (*histogram.Histogram, error) {
 	p, err := e.Prepare(q)
 	if err != nil {
@@ -373,27 +374,14 @@ func (p *Plan) runWithTarget(target *histogram.Histogram, opts Options, guard *G
 	cross, frac := opts.Crossover(int64(p.engine.src.NumRows()), p.grp.groups())
 	runSpan.SetAttr("crossover", cross)
 	runSpan.SetAttr("predicted_fraction", frac)
-	if cross || opts.Executor == Scan || opts.Executor == ParallelScan {
-		workers := 1
-		if opts.Executor == ParallelScan {
-			workers = opts.Workers
+	if cross || opts.Executor == Scan {
+		res, err := p.runScan(target, opts, guard, began, runSpan)
+		if res != nil {
+			res.Crossover = cross
 		}
-		var emit func(io IOStats)
-		if opts.OnProgress != nil {
-			emit = func(io IOStats) {
-				opts.OnProgress(Progress{Phase: "scan", IO: io, Elapsed: time.Since(began)})
-			}
-		}
-		res, err := p.runScan(target, opts, workers, guard, emit, runSpan)
-		if res == nil {
-			return nil, err
-		}
-		res.Duration = time.Since(began)
-		res.GroupLabels = groupLabels(p.grp)
-		res.Crossover = cross
 		return res, err
 	}
-	return newLocalWalk(p.newSampler(segmentKnobs(opts), guard)).run(target, opts, began, runSpan, groupLabels(p.grp), p.cand.labelOf)
+	return newLocalWalk(p.newSampler(SegmentKnobs(opts), guard)).run(target, opts, began, runSpan, groupLabels(p.grp), p.cand.labelOf)
 }
 
 // newSampler builds a blockSampler over the plan with a segment's run

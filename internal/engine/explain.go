@@ -56,17 +56,13 @@ func (p *Plan) Explain() ExplainInfo {
 	} else {
 		info.CandidateKind = "column"
 	}
-	groupShapeOK := false
 	switch p.grp.(type) {
 	case singleGroups:
 		info.GroupKind = "single"
-		groupShapeOK = true
 	case *multiGroups:
 		info.GroupKind = "multi"
-		groupShapeOK = true
 	case binnedGroups:
 		info.GroupKind = "binned"
-		groupShapeOK = true
 	default:
 		info.GroupKind = "other"
 	}
@@ -76,14 +72,9 @@ func (p *Plan) Explain() ExplainInfo {
 	if p.skipGrp != nil {
 		info.PrunableGroupBlocks = p.skipGrp.Count()
 	}
-	// Mirrors scanExec.newKernel's eligibility gates (shape checks plus
-	// the accumulator-size cap) without allocating the accumulator.
-	_, columnCand := p.cand.(*columnCandidates)
-	info.ScanKernelEligible = p.query.Filter == nil &&
-		info.Groups > 0 && info.Candidates > 0 &&
-		int64(info.Groups)*int64(info.Candidates) <= maxKernelCells &&
-		groupShapeOK && (p.multi != nil || columnCand)
+	info.ScanKernelEligible = p.newScanExec(ShardSegment{}, nil).newKernel(false) != nil
 	// Mirrors blockSampler.initFastPath.
+	_, columnCand := p.cand.(*columnCandidates)
 	_, singleGrp := p.grp.(singleGroups)
 	info.SamplerFastPath = p.query.Filter == nil && p.multi == nil &&
 		columnCand && singleGrp

@@ -102,8 +102,9 @@ func (t Target) Fingerprint() string {
 // Fingerprint returns a canonical cache key for every run-affecting
 // option. Two runs of the same Plan and target with equal option
 // fingerprints produce identical Results: the executors are deterministic
-// given Seed (which fixes the start block when StartBlock is negative) and
-// Workers (ParallelScan partitioning). OnProgress, Trace, and Quality (no
+// given Seed (which fixes the start block when StartBlock is negative);
+// Workers is included although no executor's result depends on it.
+// OnProgress, Trace, and Quality (no
 // effect on the result; purely observational) and Deadline (wall-clock dependent;
 // Deadline-bearing runs must not be cached by fingerprint) are
 // deliberately excluded — which is also why serving layers must bypass

@@ -5,12 +5,12 @@ import "fastmatch/internal/histogram"
 // Vectorized grouped-count accumulation kernels for the exact-scan hot
 // loop.
 //
-// The scalar scanRange path pays, per row, two interface dispatches
+// The scalar scanChunk path pays, per row, two interface dispatches
 // (groupOf, candidateOf), a lazy-histogram nil check, and a float64
 // histogram update. A kernel instead processes one block's aliased code
 // slices in a batch against a flat per-worker int64 accumulator of
 // candidates × groups cells, then folds the accumulator into the
-// histograms once per range (histogram.AddN). Counts are non-negative
+// histograms once per worker (histogram.AddN). Counts are non-negative
 // integers well below 2^53, so n folded at once equals n scalar Adds
 // bit-for-bit: results are byte-identical to the scalar path, and
 // IOStats.KernelBlocks is the only observable difference.
@@ -27,9 +27,8 @@ import "fastmatch/internal/histogram"
 //   - predicate candidates: per candidate, the compiled matcher sweeps
 //     the block against the precomputed group buffer.
 //
-// Rows with Filter set take the scalar path: a Filter closure may be
-// stateful and its per-row call order is part of the observable
-// contract.
+// Rows with Filter set take the scalar path, which calls Filter once per
+// row of every block read.
 
 // maxKernelCells caps the flat accumulator (candidates × groups) at 32
 // MiB of int64 cells; larger shapes fall back to the scalar path, whose
@@ -37,7 +36,7 @@ import "fastmatch/internal/histogram"
 const maxKernelCells = 1 << 22
 
 // scanKernel is one worker's accumulation state. Instances are
-// per-scanRange (never shared): the accumulator is written without
+// per-worker (never shared): the accumulator is written without
 // synchronization.
 type scanKernel struct {
 	groups int
@@ -60,8 +59,10 @@ type scanKernel struct {
 
 // newKernel builds a kernel matching the executor's plan shape, or nil
 // when no kernel covers it (Filter present, unknown mapper, accumulator
-// too large) — the caller then runs the scalar loop.
-func (s *scanExec) newKernel() *scanKernel {
+// too large) — the caller then runs the scalar loop. Without alloc the
+// kernel gets no accumulator or scratch: Plan.Explain only asks whether
+// one would be built.
+func (s *scanExec) newKernel(alloc bool) *scanKernel {
 	if s.filter != nil {
 		return nil
 	}
@@ -90,9 +91,11 @@ func (s *scanExec) newKernel() *scanKernel {
 	} else {
 		return nil
 	}
-	k.acc = make([]int64, groups*nCand)
-	if k.xc == nil || k.matchers != nil {
-		k.gbuf = make([]int32, s.blockSize)
+	if alloc {
+		k.acc = make([]int64, groups*nCand)
+		if k.xc == nil || k.matchers != nil {
+			k.gbuf = make([]int32, s.blockSize)
+		}
 	}
 	return k
 }

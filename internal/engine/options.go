@@ -44,8 +44,8 @@ func DefaultOptions(totalRows int) Options {
 const crossoverThreshold = 0.5
 
 // Crossover decides, from the options and the table's shape alone,
-// whether a sampling executor should answer with the exact sequential
-// Scan instead. It returns the decision and the predicted fraction of
+// whether a sampling executor should answer with the exact Scan
+// instead. It returns the decision and the predicted fraction of
 // the table's rows the sampler would read:
 //
 //	max(m/N, n'/max(σN, 1)),  n' = Metric.PlanSamples(G, ε/2, δ/6)
@@ -60,11 +60,12 @@ const crossoverThreshold = 0.5
 // executor, DisableCrossover unset, no RowBudget and no Deadline (a
 // run cut short returns a partial answer that depends on the
 // executor's read order: the sampler's starts at a random block, Scan's
-// is a prefix of storage order), and no KRange (Scan ranks KMax
+// workers read chunks in storage order), and no KRange (Scan ranks KMax
 // matches, while HistSim picks the widest-gap k). A crossover run
 // cancelled through its context, such as a server's per-table timeout,
-// likewise returns the storage-order prefix Scan has read so far. An
-// exact answer meets Guarantees 1 and 2 trivially, so the switch never
+// returns the blocks Scan read before the stop, and its histograms hold
+// exactly the rows its IO counts. An exact answer meets Guarantees 1
+// and 2 trivially, so the switch never
 // weakens a completed result. No statistics are consulted: the decision
 // is a deterministic function of (rows, groups, options).
 func (o Options) Crossover(rows int64, groups int) (bool, float64) {
@@ -140,7 +141,7 @@ func (o Options) Validate() error {
 		return bad("Metric", "unknown metric %d", int(p.Metric))
 	}
 	switch o.Executor {
-	case Scan, ScanMatch, SyncMatch, FastMatch, ParallelScan:
+	case Scan, ScanMatch, SyncMatch, FastMatch:
 	default:
 		return bad("Executor", "unknown executor %d", int(o.Executor))
 	}

@@ -224,9 +224,9 @@ func (p *Plan) NumCandidates() int { return p.cand.numCandidates() }
 func (p *Plan) GroupLabels() []string { return groupLabels(p.grp) }
 
 // ResolveTarget materializes the target histogram under this plan.
-// Candidate targets are resolved with an exact parallel scan restricted
-// (via the bitmap index) to the blocks containing the candidate; workers
-// ≤ 0 selects GOMAXPROCS.
+// Candidate targets are resolved with an exact scan restricted (via the
+// bitmap index) to the blocks containing the candidate, on workers
+// workers; workers ≤ 0 selects GOMAXPROCS.
 func (p *Plan) ResolveTarget(t Target, workers int) (*histogram.Histogram, error) {
 	return p.resolveTarget(t, workers, nil)
 }
@@ -236,16 +236,12 @@ func (p *Plan) ResolveTarget(t Target, workers int) (*histogram.Histogram, error
 // termination error (a truncated target would be wrong, not partial).
 func (p *Plan) resolveTarget(t Target, workers int, guard *Guard) (*histogram.Histogram, error) {
 	return TargetHistogram(t, p.grp.groups(), p.cand.numCandidates(), p.cand.labelOf, func(id int) (*histogram.Histogram, error) {
-		if p.query.Filter != nil {
-			// A Filter closure written against the pre-planner API may be
-			// stateful; only the explicit ParallelScan executor opts into
-			// concurrent Filter calls, so resolve filtered targets
-			// sequentially.
-			workers = 1
+		ex := p.newScanExec(ShardSegment{Workers: workers, DisableBlockSkip: true}, guard)
+		hists, _, _, err := ex.run(p.cand.candidateBlocks(id), id)
+		if err != nil {
+			return nil, err
 		}
-		ex := p.newScanExec(workers)
-		ex.guard = guard
-		return ex.candidateHistogram(id)
+		return hists[id], nil
 	})
 }
 

@@ -16,7 +16,8 @@ import (
 type Executor int
 
 const (
-	// Scan is the exact full-pass baseline (no sampling).
+	// Scan is the exact full-pass baseline (no sampling), read by
+	// Options.Workers workers with identical results at any count.
 	Scan Executor = iota
 	// ScanMatch samples by scanning blocks sequentially with no skipping,
 	// terminating when HistSim's criterion holds.
@@ -29,11 +30,6 @@ const (
 	// reads, decoupling the sampling engine from the I/O manager (§4.2
 	// Challenge 4).
 	FastMatch
-	// ParallelScan is the exact baseline run as N workers over disjoint
-	// block partitions with per-worker accumulators merged at a barrier;
-	// results are identical to Scan. Worker count comes from
-	// Options.Workers (default GOMAXPROCS).
-	ParallelScan
 )
 
 // String implements fmt.Stringer.
@@ -47,8 +43,6 @@ func (e Executor) String() string {
 		return "SyncMatch"
 	case FastMatch:
 		return "FastMatch"
-	case ParallelScan:
-		return "ParallelScan"
 	default:
 		return fmt.Sprintf("Executor(%d)", int(e))
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fastmatch/internal/bitmap"
@@ -14,14 +15,24 @@ import (
 )
 
 // scanExec is the exact-pass executor: the full-data baseline the paper
-// compares against (§5.2), generalized to N workers sweeping disjoint
-// contiguous block ranges with private accumulators that are merged at a
-// barrier. With workers == 1 it degenerates to the sequential Scan
-// baseline; ParallelScan runs it at Options.Workers (default GOMAXPROCS).
-// Because every worker counts a disjoint set of rows and counts are
-// integer-valued, the merged histograms — and therefore distances, pruning
-// decisions, and the top-k — are identical to the sequential pass
-// regardless of worker count.
+// compares against (§5.2), run by the Scan executor, the crossover,
+// candidate-target resolution and shard scan segments alike. Its workers
+// claim contiguous chunks of scanChunkBlocks blocks in storage order from
+// a shared cursor and count into private accumulators merged at a
+// barrier. Counts are integers, so the merged histograms — and therefore
+// distances, pruning decisions, and the top-k — do not depend on the
+// worker count or on which worker read which chunk. What a one-worker
+// pass defines by its order holds at every worker count too:
+//
+//   - Progress: a frame goes out each time the completed storage-order
+//     prefix of chunks reaches a multiple of scanProgressInterval blocks,
+//     carrying that prefix's IOStats, as a one-worker pass's would.
+//   - Row budget: every block, read or pruned, is charged, so the block a
+//     one-worker pass stops at follows from the budget and the block
+//     boundaries alone (budgetEnd); the workers scan only blocks before it.
+//   - Cancellation and deadlines stop each worker at its next block
+//     boundary: the result holds the blocks read before the stop, and its
+//     histograms hold exactly the rows IO counts.
 type scanExec struct {
 	src     colstore.Reader
 	cand    candidateMapper
@@ -29,160 +40,196 @@ type scanExec struct {
 	grp     groupMapper
 	filter  func(row int) bool
 	workers int
-	// guard, when non-nil, is consulted once per block so a canceled or
-	// budget-capped scan unwinds promptly with partial accumulators.
+	// guard, when non-nil, is consulted once per block for cancellation
+	// and deadlines; its row budget fixes the pass's end (budgetEnd).
 	guard *Guard
-	// emit, when non-nil, receives an I/O snapshot every
-	// scanProgressInterval blocks. It is only set for single-worker
-	// scans: parallel workers race, so their interleaving (and thus any
-	// frame sequence) would be nondeterministic.
-	emit func(io IOStats)
+	emit  func(io IOStats) // progress: the completed prefix's I/O, full passes only
 	// skip, when non-nil, marks blocks whose statistics prove no
-	// qualifying row; scanRange consumes them virtually (rows charged to
+	// qualifying row; scanChunk consumes them virtually (rows charged to
 	// guards and totals, nothing read). blockSize/rows are cached so the
 	// virtual path never calls BlockSpan — a simulated-latency backend
 	// must not sleep for a block the scan skips.
 	skip      *bitmap.Bitset
 	blockSize int
 	rows      int
-	// kernels enables the vectorized per-block accumulators; scanRange
-	// falls back to the scalar row loop for shapes no kernel covers.
-	kernels bool
+	kernels   bool // vectorized accumulation where a kernel covers the shape
 	// span, when non-nil, is the traced run's parent span: the merge
-	// barrier records one child span per worker (its block range, wall
-	// time, and IOStats). Nil for untraced runs and target resolution —
-	// workers then take no timestamps and pay nothing.
+	// barrier records one child span per worker (its block count, wall
+	// time, and IOStats).
 	span *trace.Span
 }
 
-// scanPartialTimes is the per-worker wall-clock pair recorded only for
-// traced runs.
-type scanPartialTimes struct {
-	began time.Time
-	ended time.Time
-}
+const (
+	// scanProgressInterval is how many blocks of the pass lie between
+	// progress frames.
+	scanProgressInterval = 256
+	// scanChunkBlocks is the unit a scan worker claims. It divides
+	// scanProgressInterval, so every frame position is a chunk boundary.
+	// Measured on a 2-vCPU box over a 4M-row flights table in 32-row
+	// blocks, two workers took a median 8.0 ms with 256-block chunks,
+	// 8.9 ms with 128 and 9.0 ms with 32; one worker took 15 ms.
+	scanChunkBlocks = 256
+)
 
-// scanProgressInterval is how many blocks a sequential scan reads between
-// progress emissions.
-const scanProgressInterval = 256
-
-// newScanExec binds a scan executor to a plan. Workers ≤ 0 selects
-// GOMAXPROCS; the count is further capped at the number of blocks.
-func (p *Plan) newScanExec(workers int) *scanExec {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if nb := p.engine.src.NumBlocks(); workers > nb {
-		workers = nb
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &scanExec{
+// newScanExec binds a scan executor to a plan with a segment's run knobs
+// (Workers ≤ 0 selects GOMAXPROCS; run caps it at the pass's chunk
+// count) under an optional run guard.
+func (p *Plan) newScanExec(knobs ShardSegment, guard *Guard) *scanExec {
+	ex := &scanExec{
 		src:       p.engine.src,
 		cand:      p.cand,
 		multi:     p.multi,
 		grp:       p.grp,
 		filter:    p.query.Filter,
-		workers:   workers,
+		workers:   knobs.Workers,
+		guard:     guard,
 		blockSize: p.engine.src.BlockSize(),
 		rows:      p.engine.src.NumRows(),
+		kernels:   !knobs.DisableScanKernels,
 	}
+	if ex.workers <= 0 {
+		ex.workers = runtime.GOMAXPROCS(0)
+	}
+	if !knobs.DisableBlockSkip {
+		ex.skip = p.skipAll
+	}
+	return ex
 }
 
-// scanPartial is one worker's private accumulators.
+// scanPass is one run's state shared by its workers: the chunk cursor
+// and, when progress is wanted, the completed chunks' IOStats.
+type scanPass struct {
+	only   *bitmap.Bitset
+	keep   int
+	end    int          // the pass covers blocks [0, end)
+	cursor atomic.Int64 // next chunk to claim
+	mu     sync.Mutex
+	chunks []IOStats // completed chunks' IOStats, zero until complete
+	next   int       // first chunk outside the completed prefix
+	io     IOStats   // the completed prefix's IOStats
+}
+
+// scanPartial is one worker's private accumulators and scratch.
 type scanPartial struct {
-	hists []*histogram.Histogram // lazily allocated per candidate
-	io    IOStats
-	rows  int64
-	err   error             // guard termination, if the worker was interrupted
-	times *scanPartialTimes // non-nil only for traced runs
+	hists        []*histogram.Histogram // lazily allocated per candidate
+	kern         *scanKernel            // nil: the scalar row loop
+	multi        []int                  // candidatesOf scratch
+	io           IOStats
+	rows         int64
+	err          error     // guard termination, if the worker was interrupted
+	began, ended time.Time // the worker's wall time, for its trace span
 }
 
-// partition splits [0, NumBlocks) into s.workers contiguous ranges.
-func (s *scanExec) partition() [][2]int {
-	nb := s.src.NumBlocks()
-	ranges := make([][2]int, 0, s.workers)
-	chunk := (nb + s.workers - 1) / s.workers
-	for lo := 0; lo < nb; lo += chunk {
-		hi := lo + chunk
-		if hi > nb {
-			hi = nb
-		}
-		ranges = append(ranges, [2]int{lo, hi})
+// blockRows is block b's row count, computed without BlockSpan.
+func (s *scanExec) blockRows(b int) int64 {
+	lo := b * s.blockSize
+	return int64(min(lo+s.blockSize, s.rows) - lo)
+}
+
+// budgetEnd returns the block a one-worker pass would stop at for the
+// row budget: the first block reached with the budget spent, or nb.
+// Blocks outside only are passed uncharged, as the pass passes them.
+func (s *scanExec) budgetEnd(nb int, only *bitmap.Bitset) int {
+	if s.guard == nil || s.guard.budget <= 0 {
+		return nb
 	}
-	return ranges
+	left := s.guard.budget - s.guard.rows.Load()
+	for b := 0; b < nb; b++ {
+		if left <= 0 {
+			return b
+		}
+		if only == nil || only.Get(b) {
+			left -= s.blockRows(b)
+		}
+	}
+	return nb
 }
 
-// scanRange sweeps blocks [loBlock, hiBlock), restricted to `only` when
-// non-nil, recording every row whose candidate passes keep (keep < 0 keeps
-// all candidates).
+// worker claims chunks until none are left or the guard interrupts the
+// run, then folds its kernel accumulator.
+func (s *scanExec) worker(ps *scanPass) *scanPartial {
+	part := &scanPartial{hists: make([]*histogram.Histogram, s.cand.numCandidates()), began: time.Now()}
+	if s.kernels && ps.only == nil && ps.keep < 0 {
+		part.kern = s.newKernel(true)
+	}
+	for {
+		c := int(ps.cursor.Add(1) - 1)
+		lo := c * scanChunkBlocks
+		if lo >= ps.end {
+			break
+		}
+		io := s.scanChunk(part, lo, min(lo+scanChunkBlocks, ps.end), ps.only, ps.keep)
+		part.io.Add(io)
+		if part.err != nil {
+			break
+		}
+		if ps.chunks != nil {
+			s.complete(ps, c, io)
+		}
+	}
+	if part.kern != nil {
+		part.kern.fold(part, s.grp.groups())
+	}
+	part.ended = time.Now()
+	return part
+}
+
+// complete records chunk c's IOStats and, in storage order, emits every
+// frame the grown prefix of completed chunks reaches. A completed chunk
+// of a full pass read or pruned at least one block, so its IOStats are
+// nonzero. The mutex orders the frames; emit runs under it.
+func (s *scanExec) complete(ps *scanPass, c int, io IOStats) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.chunks[c] = io
+	for ; ps.next < len(ps.chunks) && ps.chunks[ps.next] != (IOStats{}); ps.next++ {
+		ps.io.Add(ps.chunks[ps.next])
+		if min((ps.next+1)*scanChunkBlocks, ps.end)%scanProgressInterval == 0 {
+			s.emit(ps.io)
+		}
+	}
+}
+
+// scanChunk sweeps blocks [lo, hi), restricted to `only` when non-nil,
+// recording every row whose candidate passes keep (keep < 0 keeps all
+// candidates), and returns the chunk's IOStats. A guard stop sets
+// part.err and ends the chunk at the block boundary.
 //
 // Stats-pruned blocks (s.skip) are consumed virtually: their rows are
 // charged to the guard and to part.rows — so budget decisions, σ
 // selectivities, and partial results are byte-identical to a pruning-off
 // sweep — but the block is never read and TuplesRead stays untouched.
-// Progress emission paces on BlocksRead+BlocksPruned so frame positions
-// and counts match the pruning-off sweep exactly.
-func (s *scanExec) scanRange(loBlock, hiBlock int, only *bitmap.Bitset, keep int) *scanPartial {
-	part := &scanPartial{hists: make([]*histogram.Histogram, s.cand.numCandidates())}
-	if s.span != nil {
-		part.times = &scanPartialTimes{began: time.Now()}
-	}
+func (s *scanExec) scanChunk(part *scanPartial, lo, hi int, only *bitmap.Bitset, keep int) IOStats {
+	var io IOStats
 	groups := s.grp.groups() // hoisted out of the per-row loop
-	var kern *scanKernel
-	if s.kernels && only == nil && keep < 0 {
-		kern = s.newKernel() // per-worker accumulator, folded on return
-	}
-	finish := func() *scanPartial {
-		if kern != nil {
-			kern.fold(part, groups)
-		}
-		if part.times != nil {
-			part.times.ended = time.Now()
-		}
-		return part
-	}
-	var multiBuf []int
-	for b := loBlock; b < hiBlock; b++ {
-		if err := s.guard.Stop(); err != nil {
+	for b := lo; b < hi; b++ {
+		if err := s.guard.stop(false); err != nil {
 			part.err = err
-			return finish()
+			return io
 		}
 		if only != nil && !only.Get(b) {
 			continue
 		}
 		if s.skip != nil && s.skip.Get(b) {
-			lo := b * s.blockSize
-			hi := lo + s.blockSize
-			if hi > s.rows {
-				hi = s.rows
-			}
-			part.io.BlocksSkipped++
-			part.io.BlocksPruned++
-			part.rows += int64(hi - lo)
-			s.guard.addRows(int64(hi - lo))
-			if s.emit != nil && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
-				s.emit(part.io)
-			}
+			n := s.blockRows(b)
+			io.BlocksSkipped++
+			io.BlocksPruned++
+			part.rows += n
+			s.guard.addRows(n)
 			continue
 		}
-		lo, hi := s.src.BlockSpan(b)
-		part.io.BlocksRead++
-		s.guard.addRows(int64(hi - lo))
-		if kern != nil {
-			kern.block(lo, hi)
-			part.io.TuplesRead += int64(hi - lo)
-			part.rows += int64(hi - lo)
-			part.io.KernelBlocks++
-			if s.emit != nil && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
-				s.emit(part.io)
-			}
+		rlo, rhi := s.src.BlockSpan(b)
+		n := int64(rhi - rlo)
+		io.BlocksRead++
+		io.TuplesRead += n
+		part.rows += n
+		s.guard.addRows(n)
+		if part.kern != nil {
+			part.kern.block(rlo, rhi)
+			io.KernelBlocks++
 			continue
 		}
-		for row := lo; row < hi; row++ {
-			part.io.TuplesRead++
-			part.rows++
+		for row := rlo; row < rhi; row++ {
 			if s.filter != nil && !s.filter(row) {
 				continue
 			}
@@ -195,8 +242,8 @@ func (s *scanExec) scanRange(loBlock, hiBlock int, only *bitmap.Bitset, keep int
 				// keep-one target path alike: a predicate candidate's true
 				// histogram includes every row satisfying it, even rows an
 				// earlier overlapping predicate also matches.
-				multiBuf = s.multi.candidatesOf(row, multiBuf[:0])
-				for _, id := range multiBuf {
+				part.multi = s.multi.candidatesOf(row, part.multi[:0])
+				for _, id := range part.multi {
 					if keep >= 0 && id != keep {
 						continue
 					}
@@ -210,11 +257,8 @@ func (s *scanExec) scanRange(loBlock, hiBlock int, only *bitmap.Bitset, keep int
 			}
 			part.add(id, g, groups)
 		}
-		if s.emit != nil && (part.io.BlocksRead+part.io.BlocksPruned)%scanProgressInterval == 0 {
-			s.emit(part.io)
-		}
 	}
-	return finish()
+	return io
 }
 
 func (p *scanPartial) add(id, g, groups int) {
@@ -224,26 +268,32 @@ func (p *scanPartial) add(id, g, groups int) {
 	p.hists[id].Add(g)
 }
 
-// run fans the scan out over the partitioned block ranges and merges the
-// per-worker accumulators at the barrier into a complete histogram set.
-// When the run's guard fires, every worker unwinds at its next block
-// boundary and run returns the merged partial accumulators with the
-// termination error — all goroutines are always joined before returning.
+// run fans the scan out over the pass's chunks and merges the per-worker
+// accumulators at the barrier into a complete histogram set. When the
+// guard fires, every worker unwinds at its next block boundary and run
+// returns the merged partial accumulators with the termination error; a
+// budget stop follows the last block before budgetEnd's, as in a
+// one-worker pass. All goroutines are joined before run returns.
 func (s *scanExec) run(only *bitmap.Bitset, keep int) ([]*histogram.Histogram, IOStats, int64, error) {
-	ranges := s.partition()
-	parts := make([]*scanPartial, len(ranges))
-	var wg sync.WaitGroup
-	for w, r := range ranges {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			parts[w] = s.scanRange(lo, hi, only, keep)
-		}(w, r[0], r[1])
+	nb := s.src.NumBlocks()
+	ps := &scanPass{only: only, keep: keep, end: s.budgetEnd(nb, only)}
+	nChunks := (ps.end + scanChunkBlocks - 1) / scanChunkBlocks
+	if s.emit != nil && only == nil {
+		ps.chunks = make([]IOStats, nChunks)
 	}
+	parts := make([]*scanPartial, max(min(s.workers, nChunks), 1))
+	var wg sync.WaitGroup
+	for w := 1; w < len(parts); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[w] = s.worker(ps)
+		}()
+	}
+	parts[0] = s.worker(ps)
 	wg.Wait()
 
-	n := s.cand.numCandidates()
-	hists := make([]*histogram.Histogram, n)
+	hists := make([]*histogram.Histogram, s.cand.numCandidates())
 	for i := range hists {
 		hists[i] = histogram.New(s.grp.groups())
 	}
@@ -256,11 +306,11 @@ func (s *scanExec) run(only *bitmap.Bitset, keep int) ([]*histogram.Histogram, I
 		if part.err != nil && stopErr == nil {
 			stopErr = part.err
 		}
-		if s.span != nil && part.times != nil {
-			sp := s.span.ChildAt(fmt.Sprintf("worker%d", w), part.times.began)
-			sp.SetAttr("blocks", [2]int{ranges[w][0], ranges[w][1]})
+		if s.span != nil {
+			sp := s.span.ChildAt(fmt.Sprintf("worker%d", w), part.began)
+			sp.SetAttr("blocks", part.io.BlocksRead+part.io.BlocksSkipped)
 			sp.SetIO(TraceIO(part.io))
-			sp.EndAt(part.times.ended)
+			sp.EndAt(part.ended)
 		}
 		for i, h := range part.hists {
 			if h == nil {
@@ -271,64 +321,51 @@ func (s *scanExec) run(only *bitmap.Bitset, keep int) ([]*histogram.Histogram, I
 			}
 		}
 	}
+	if stopErr == nil && ps.end < nb {
+		stopErr = s.guard.Stop()
+	}
 	return hists, io, rows, stopErr
 }
 
-// candidateHistogram computes the exact histogram of one candidate,
-// restricted (via the bitmap index) to the blocks that contain it. An
-// interrupted scan returns the guard's termination error: a truncated
-// target histogram is not best-effort-usable, it is wrong.
-func (s *scanExec) candidateHistogram(id int) (*histogram.Histogram, error) {
-	hists, _, _, err := s.run(s.cand.candidateBlocks(id), id)
-	if err != nil {
-		return nil, err
-	}
-	return hists[id], nil
-}
-
 // runScan answers the plan exactly: one full pass computing every
-// candidate histogram, exact σ pruning, exact top-k. An interrupted pass
+// candidate histogram, exact σ pruning, exact top-k, with a "scan"
+// progress frame every scanProgressInterval blocks. An interrupted pass
 // (guard fired) instead returns a best-effort Result — Partial set, no σ
 // pruning (selectivities from a truncated pass are biased), candidates
 // ranked by their partial histograms — alongside the termination error.
-func (p *Plan) runScan(target *histogram.Histogram, opts Options, workers int, guard *Guard, emit func(io IOStats), span *trace.Span) (*Result, error) {
-	params := opts.Params
-	if err := params.Validate(); err != nil {
+func (p *Plan) runScan(target *histogram.Histogram, opts Options, guard *Guard, began time.Time, span *trace.Span) (*Result, error) {
+	if err := opts.Params.Validate(); err != nil {
 		return nil, err
 	}
-	ex := p.newScanExec(workers)
-	ex.guard = guard
+	ex := p.newScanExec(SegmentKnobs(opts), guard)
 	ex.span = span
-	if !opts.DisableBlockSkip {
-		ex.skip = p.skipAll
-	}
-	ex.kernels = !opts.DisableScanKernels
-	if ex.workers == 1 {
-		ex.emit = emit
+	if opts.OnProgress != nil {
+		ex.emit = func(io IOStats) {
+			opts.OnProgress(Progress{Phase: "scan", IO: io, Elapsed: time.Since(began)})
+		}
 	}
 	hists, io, totalRows, stopErr := ex.run(nil, -1)
-	res := &Result{Exact: stopErr == nil, Partial: stopErr != nil, IO: io}
-	res.TopK, res.Pruned = RankExact(target, params, hists, totalRows, stopErr == nil, p.cand.labelOf)
-	res.Stats.ChosenK = len(res.TopK)
-	res.Stats.PrunedCandidates = len(res.Pruned)
+	res := ExactResult(target, opts.Params, hists, totalRows, stopErr == nil, p.cand.labelOf)
+	res.IO, res.GroupLabels = io, groupLabels(p.grp)
+	res.Duration = time.Since(began)
 	return res, stopErr
 }
 
-// rankExact ranks fully-accumulated per-candidate histograms the way the
-// exact pass does: σ pruning only on a complete pass (selectivities from
-// a truncated pass are biased), never-reached candidates dropped from a
-// partial ranking, k from Params.K or the KRange rule. Shared between
-// runScan and the cluster coordinator's scatter-gather Scan path, which
-// ranks globally summed shard histograms — keeping it shared is what
-// makes the coordinated top-k byte-identical to the single-node one.
-func RankExact(target *histogram.Histogram, params core.Params, hists []*histogram.Histogram,
-	totalRows int64, complete bool, labelOf func(int) string) (topK []Match, pruned []string) {
+// ExactResult ranks fully-accumulated per-candidate histograms the way
+// the exact pass does: σ pruning only on a complete pass (selectivities
+// from a truncated pass are biased), never-reached candidates dropped
+// from a partial ranking, k from Params.K or the KRange rule. Sharing it
+// with the cluster coordinator's scatter-gather Scan is what makes the
+// coordinated top-k byte-identical to the single-node one.
+func ExactResult(target *histogram.Histogram, params core.Params, hists []*histogram.Histogram,
+	totalRows int64, complete bool, labelOf func(int) string) *Result {
+	res := &Result{Exact: complete, Partial: !complete}
 	dist := make([]float64, len(hists))
 	var keep []int
 	for i := range hists {
 		if complete && params.Sigma > 0 {
 			if sel := hists[i].Total() / float64(totalRows); sel < params.Sigma {
-				pruned = append(pruned, labelOf(i))
+				res.Pruned = append(res.Pruned, labelOf(i))
 				continue
 			}
 		}
@@ -350,12 +387,14 @@ func RankExact(target *histogram.Histogram, params core.Params, hists []*histogr
 		}
 	}
 	for _, rk := range histogram.TopK(dist, keep, k) {
-		topK = append(topK, Match{
+		res.TopK = append(res.TopK, Match{
 			ID:        rk.ID,
 			Label:     labelOf(rk.ID),
 			Distance:  rk.Distance,
 			Histogram: hists[rk.ID].Clone(),
 		})
 	}
-	return topK, pruned
+	res.Stats.ChosenK = len(res.TopK)
+	res.Stats.PrunedCandidates = len(res.Pruned)
+	return res
 }

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"fastmatch/internal/bitmap"
+	"fastmatch/internal/colstore"
 )
 
 // requireIdenticalResults asserts two exact results agree bit-for-bit:
@@ -44,86 +48,112 @@ func requireIdenticalResults(t *testing.T, want, got *Result) {
 	}
 }
 
-// TestParallelScanMatchesScan asserts ParallelScan is byte-identical to
-// Scan at every worker count, on a seeded datagen table.
-func TestParallelScanMatchesScan(t *testing.T) {
-	tbl := testDataset(t, 50_000, 30, 8, 21)
-	e := New(tbl)
-	truth, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-		Params: testParams(), Executor: Scan,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestScanAtAnyWorkerCount pins the exact Scan's worker-count contract:
+// on the heap, mmap and throttled backends, for every query shape and
+// row budget, a run at Workers 2, 3, 8 or the default (GOMAXPROCS)
+// returns the Result JSON, the error and the progress-frame sequence
+// (Elapsed zeroed) of the one-worker run. The budgets stop the pass inside a chunk, on a chunk
+// boundary, past the first progress frame, and not at all.
+func TestScanAtAnyWorkerCount(t *testing.T) {
+	tbl := testDataset(t, 40_000, 12, 6, 21)
+	backends := []struct {
+		name string
+		src  colstore.Reader
+	}{
+		{"heap", tbl},
+		{"mmap", mmapTwin(t, tbl)},
+		{"throttled", colstore.NewThrottledReader(tbl, time.Microsecond)},
 	}
-	for _, workers := range []int{0, 1, 2, 3, 4, 8, 16} {
-		res, err := e.Run(baseQuery(), Target{Uniform: true}, Options{
-			Params: testParams(), Executor: ParallelScan, Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireIdenticalResults(t, truth, res)
-	}
-}
-
-// TestParallelScanWithFilterAndKnownCandidates covers the filter and
-// restricted-domain paths of the partitioned scan.
-func TestParallelScanWithFilterAndKnownCandidates(t *testing.T) {
-	tbl := testDataset(t, 40_000, 12, 6, 22)
-	e := New(tbl)
 	w, _ := tbl.Column("W")
 	z, _ := tbl.Column("Z")
-	q := baseQuery()
-	q.Filter = func(row int) bool { return w.Code(row) != 3 }
-	q.KnownCandidates = []string{z.Dict.Value(0), z.Dict.Value(1), z.Dict.Value(4)}
-	truth, err := e.Run(q, Target{Uniform: true}, Options{Params: testParams(), Executor: Scan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(q, Target{Uniform: true}, Options{
-		Params: testParams(), Executor: ParallelScan, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, truth, res)
-}
+	filtered := baseQuery()
+	filtered.Filter = func(row int) bool { return w.Code(row) != 3 }
+	filtered.KnownCandidates = []string{z.Dict.Value(0), z.Dict.Value(1), z.Dict.Value(4)}
 
-// TestParallelScanPredicateCandidates covers the overlapping
-// multi-membership path.
-func TestParallelScanPredicateCandidates(t *testing.T) {
-	tbl := testDataset(t, 30_000, 10, 6, 23)
-	e := New(tbl)
-	dmZ, err := e.Density("Z")
-	if err != nil {
-		t.Fatal(err)
+	bs := int64(tbl.BlockSize())
+	budgets := []struct {
+		name   string
+		budget int64
+		stop   int // the block the pass stops at, for the plain query
+	}{
+		{"unbudgeted", 0, tbl.NumBlocks()},
+		{"mid-chunk", 20*bs + 10, 21},
+		{"chunk-boundary", 2 * scanChunkBlocks * bs, 2 * scanChunkBlocks},
+		{"past-a-frame", 300*bs + 1, 301},
+		{"past-the-end", int64(tbl.NumRows()) + 1, tbl.NumBlocks()},
 	}
-	dmW, err := e.Density("W")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{X: []string{"X"}}
-	q.CandidatePreds = append(q.CandidatePreds,
-		&bitmap.ValuePred{Column: "Z", Code: 1, DM: dmZ},
-		&bitmap.OrPred{Children: []bitmap.Predicate{
+	for _, b := range backends {
+		e := New(b.src)
+		dmZ, err := e.Density("Z")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dmW, err := e.Density("W")
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds := Query{X: []string{"X"}, CandidatePreds: []bitmap.Predicate{
 			&bitmap.ValuePred{Column: "Z", Code: 1, DM: dmZ},
-			&bitmap.ValuePred{Column: "W", Code: 0, DM: dmW},
-		}},
-	)
-	params := testParams()
-	params.K = 2
-	params.Sigma = 0
-	truth, err := e.Run(q, Target{Uniform: true}, Options{Params: params, Executor: Scan})
-	if err != nil {
-		t.Fatal(err)
+			&bitmap.OrPred{Children: []bitmap.Predicate{
+				&bitmap.ValuePred{Column: "Z", Code: 1, DM: dmZ},
+				&bitmap.ValuePred{Column: "W", Code: 0, DM: dmW},
+			}},
+		}}
+		queries := []struct {
+			name   string
+			q      Query
+			target Target
+		}{
+			{"uniform", baseQuery(), Target{Uniform: true}},
+			{"candidate-target", baseQuery(), Target{Candidate: z.Dict.Value(2)}},
+			{"filter-known", filtered, Target{Uniform: true}},
+			{"pred-cands", preds, Target{Uniform: true}},
+		}
+		for _, qc := range queries {
+			t.Run(b.name+"/"+qc.name, func(t *testing.T) {
+				for _, bc := range budgets {
+					run := func(workers int) (string, string) {
+						opts := Options{Params: testParams(), Executor: Scan, Workers: workers, RowBudget: bc.budget}
+						opts.Params.Sigma = 0
+						var frames []Progress
+						opts.OnProgress = func(p Progress) {
+							p.Elapsed = 0
+							frames = append(frames, p)
+						}
+						res, err := e.Run(qc.q, qc.target, opts)
+						if qc.name == "uniform" {
+							// The plain query pins where the pass stops,
+							// independently of the one-worker run.
+							if cut := bc.stop < tbl.NumBlocks(); errors.Is(err, ErrBudgetExhausted) != cut || (!cut && err != nil) {
+								t.Fatalf("%s at %d workers: error %v", bc.name, workers, err)
+							}
+							if got := res.IO.BlocksRead + res.IO.BlocksSkipped; got != int64(bc.stop) {
+								t.Fatalf("%s at %d workers: stopped at block %d, want %d", bc.name, workers, got, bc.stop)
+							}
+							if want := bc.stop / scanProgressInterval; len(frames) != want {
+								t.Fatalf("%s at %d workers: %d progress frames, want %d", bc.name, workers, len(frames), want)
+							}
+						}
+						out := fmt.Sprintf("err=%v frames=%+v", err, frames)
+						if res == nil {
+							return "", out
+						}
+						return canonicalResult(t, res), out
+					}
+					wantRes, wantRun := run(1)
+					for _, workers := range []int{0, 2, 3, 8} {
+						gotRes, gotRun := run(workers)
+						if gotRes != wantRes {
+							t.Fatalf("%s: result at %d workers diverges:\n%s\nvs one worker\n%s", bc.name, workers, gotRes, wantRes)
+						}
+						if gotRun != wantRun {
+							t.Fatalf("%s: error or frames at %d workers diverge:\n%s\nvs one worker\n%s", bc.name, workers, gotRun, wantRun)
+						}
+					}
+				}
+			})
+		}
 	}
-	res, err := e.Run(q, Target{Uniform: true}, Options{
-		Params: params, Executor: ParallelScan, Workers: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, truth, res)
 }
 
 // TestOverlappingPredicateTargetResolution asserts that resolving a
@@ -224,7 +254,7 @@ func TestPlanReuse(t *testing.T) {
 	}
 	// FastMatch is excluded from the strict comparison: its asynchronous
 	// marker makes the set of blocks read timing-dependent.
-	for _, exec := range []Executor{Scan, ParallelScan, ScanMatch} {
+	for _, exec := range []Executor{Scan, ScanMatch} {
 		opts := Options{Params: testParams(), Executor: exec, DisableCrossover: true, Seed: 3, Lookahead: 32}
 		fromPlan, err := p.RunWithTarget(target, opts)
 		if err != nil {

@@ -256,13 +256,7 @@ func (p *Plan) runSampleSegment(ctx context.Context, req *ShardSegment) (*ShardS
 }
 
 func (p *Plan) runScanSegment(ctx context.Context, req *ShardSegment) (*ShardSegmentResult, error) {
-	ex := p.newScanExec(req.Workers)
-	ex.guard = segGuard(ctx, req)
-	if !req.DisableBlockSkip {
-		ex.skip = p.skipAll
-	}
-	ex.kernels = !req.DisableScanKernels
-	hists, io, rows, stopErr := ex.run(nil, -1)
+	hists, io, rows, stopErr := p.newScanExec(*req, segGuard(ctx, req)).run(nil, -1)
 	return &ShardSegmentResult{
 		Batch:   core.EncodeBatch(scanBatch(hists, rows)),
 		IO:      io,
@@ -275,12 +269,7 @@ func (p *Plan) runTargetSegment(ctx context.Context, req *ShardSegment) (*ShardS
 	if id < 0 || id >= p.cand.numCandidates() {
 		return nil, fmt.Errorf("engine: segment target candidate %d out of range", id)
 	}
-	workers := req.Workers
-	if p.query.Filter != nil {
-		workers = 1 // mirror resolveTarget: a Filter closure may be stateful
-	}
-	ex := p.newScanExec(workers)
-	ex.guard = segGuard(ctx, req)
+	ex := p.newScanExec(ShardSegment{Workers: req.Workers, DisableBlockSkip: true}, segGuard(ctx, req))
 	hists, _, rows, stopErr := ex.run(p.cand.candidateBlocks(id), id)
 	batch := &core.Batch{
 		Drawn:  rows,

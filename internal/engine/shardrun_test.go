@@ -27,7 +27,7 @@ func TestSampleSegmentRejectsMalformed(t *testing.T) {
 	}{
 		{"executor 99", func(s *ShardSegment) { s.Executor = 99 }},
 		{"executor Scan", func(s *ShardSegment) { s.Executor = Scan }},
-		{"executor ParallelScan", func(s *ShardSegment) { s.Executor = ParallelScan }},
+		{"executor 4", func(s *ShardSegment) { s.Executor = 4 }},
 		{"negative stage-1 need", func(s *ShardSegment) { s.Stage1Need = -5 }},
 		{"negative visits", func(s *ShardSegment) { s.Visits = -3 }},
 		{"consumed count beyond the bitmap", func(s *ShardSegment) { s.ConsumedCount = nb + 7 }},

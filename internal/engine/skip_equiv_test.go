@@ -148,14 +148,14 @@ func TestSkipOnOffByteIdentical(t *testing.T) {
 					}
 					results := make([]*Result, len(combos))
 					for i, c := range combos {
-						opts := equivOptions(exec, eng.Source().NumBlocks())
+						opts := exec.options(equivOptions(exec.Executor, eng.Source().NumBlocks()))
 						opts.DisableBlockSkip = c.noSkip
 						opts.DisableScanKernels = c.noKern
 						res, err := eng.Run(q, Target{Uniform: true}, opts)
 						if err != nil {
 							t.Fatalf("%s: %v", c.name, err)
 						}
-						requireSampled(t, exec, res)
+						requireSampled(t, exec.Executor, res)
 						results[i] = res
 					}
 					want := canonicalResultNoIO(t, results[len(combos)-1]) // scalar full-scan reference
@@ -174,7 +174,7 @@ func TestSkipOnOffByteIdentical(t *testing.T) {
 					if skipOn.IO.TuplesRead >= skipOff.IO.TuplesRead {
 						t.Fatalf("pruning read no fewer tuples: %d vs %d", skipOn.IO.TuplesRead, skipOff.IO.TuplesRead)
 					}
-					if (exec == Scan || exec == ParallelScan) && skipOn.IO.KernelBlocks == 0 {
+					if exec.Executor == Scan && skipOn.IO.KernelBlocks == 0 {
 						t.Fatal("exact scan took no kernel blocks with kernels enabled")
 					}
 					if skipOff.IO.KernelBlocks != 0 {
@@ -239,10 +239,10 @@ func TestSkipMasksPruneProvablyEmptyBlocks(t *testing.T) {
 func TestSkipConcurrentAgreement(t *testing.T) {
 	tbl := skipTestTable(t)
 	for backend, eng := range skipTestBackends(t, tbl) {
-		for _, exec := range []Executor{Scan, ParallelScan, FastMatch} {
+		for _, exec := range []execCase{{Scan, "Scan", 1}, {Scan, "ParallelScan", 0}, {FastMatch, "FastMatch", 0}} {
 			t.Run(fmt.Sprintf("%s/%s", backend, exec), func(t *testing.T) {
 				q := predQuery(t, eng, nil, "M", subRangeBinner(t), "z1", "z5")
-				refOpts := equivOptions(exec, eng.Source().NumBlocks())
+				refOpts := exec.options(equivOptions(exec.Executor, eng.Source().NumBlocks()))
 				refOpts.DisableBlockSkip = true
 				refOpts.DisableScanKernels = true
 				ref, err := eng.Run(q, Target{Uniform: true}, refOpts)
@@ -256,7 +256,7 @@ func TestSkipConcurrentAgreement(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						res, err := eng.Run(q, Target{Uniform: true}, equivOptions(exec, eng.Source().NumBlocks()))
+						res, err := eng.Run(q, Target{Uniform: true}, exec.options(equivOptions(exec.Executor, eng.Source().NumBlocks())))
 						if err != nil {
 							errs <- err
 							return

@@ -27,7 +27,7 @@ func TestTraceByteIdenticalAndIOSums(t *testing.T) {
 		for qname, q := range skipQueries(t, eng) {
 			for _, exec := range allExecutors() {
 				t.Run(fmt.Sprintf("%s/%s/%s", backend, qname, exec), func(t *testing.T) {
-					opts := traceOptions(exec, eng.Source().NumBlocks())
+					opts := exec.options(traceOptions(exec.Executor, eng.Source().NumBlocks()))
 					plain, err := eng.Run(q, Target{Uniform: true}, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -38,7 +38,7 @@ func TestTraceByteIdenticalAndIOSums(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireSampled(t, exec, plain)
+					requireSampled(t, exec.Executor, plain)
 					tr.End()
 					if got, want := canonicalResult(t, traced), canonicalResult(t, plain); got != want {
 						t.Fatalf("traced run diverges from untraced:\n%s\nvs\n%s", got, want)
@@ -95,12 +95,12 @@ func TestTraceSpanShape(t *testing.T) {
 
 	t.Run("run-root", func(t *testing.T) {
 		for _, exec := range allExecutors() {
-			snap := run(t, exec, 4)
+			snap := run(t, exec.Executor, 4)
 			rs := snap.Find("run")
 			if rs == nil {
 				t.Fatalf("%s: no run span", exec)
 			}
-			if got := rs.Attrs["executor"]; got != exec.String() {
+			if got := rs.Attrs["executor"]; got != exec.Executor.String() {
 				t.Fatalf("%s: executor attr = %v", exec, got)
 			}
 			if got := rs.Attrs["crossover"]; got != false {
@@ -119,7 +119,18 @@ func TestTraceSpanShape(t *testing.T) {
 	})
 
 	t.Run("scan-workers", func(t *testing.T) {
-		snap := run(t, ParallelScan, 3)
+		// Workers claim scanChunkBlocks-block chunks, so the table needs
+		// at least three chunks to keep three workers busy.
+		big := testDataset(t, 3*scanChunkBlocks*64, 20, 8, 5)
+		opts := traceOptions(Scan, big.NumBlocks())
+		opts.Workers = 3
+		tr := trace.New("shape")
+		opts.Trace = tr
+		if _, err := New(big).Run(baseQuery(), Target{Uniform: true}, opts); err != nil {
+			t.Fatal(err)
+		}
+		tr.End()
+		snap := tr.Snapshot()
 		for w := 0; w < 3; w++ {
 			sp := snap.Find(fmt.Sprintf("worker%d", w))
 			if sp == nil {

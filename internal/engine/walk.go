@@ -338,23 +338,25 @@ func (w *walk) run(target *histogram.Histogram, opts Options, began time.Time, r
 // global block order (metas must agree on the candidate and group
 // domains). call(i, seg) runs a sampling segment on shard i and returns
 // its result with the decoded batch; an error loses the shard for the rest
-// of the run. degraded reports shards lost before the run. Progress,
-// tracing and the Result are assembled exactly as Plan.RunContext does.
-func SampleShards(metas []*ShardMeta, call func(int, *ShardSegment) (*ShardSegmentResult, *core.Batch, error),
+// of the run. An answer the walk cannot trust (remoteRunner.check) loses
+// the shard too, and lost(i, err) tells the caller. degraded reports
+// shards lost before the run. Progress, tracing and the Result are
+// assembled exactly as Plan.RunContext does.
+func SampleShards(metas []*ShardMeta, call func(int, *ShardSegment) (*ShardSegmentResult, *core.Batch, error), lost func(int, error),
 	degraded bool, target *histogram.Histogram, opts Options, guard *Guard, began time.Time, runSpan *trace.Span) (*Result, error) {
 	ref := metas[0]
-	w := newWalk(ref.Candidates, ref.Groups, guard, segmentKnobs(opts))
+	w := newWalk(ref.Candidates, ref.Groups, guard, SegmentKnobs(opts))
 	w.degraded = degraded
 	for i, m := range metas {
-		r := &remoteRunner{shard: i, call: call, guard: guard, exh: make([]bool, ref.Candidates)}
+		r := &remoteRunner{shard: i, blocks: m.Blocks, call: call, lost: lost, guard: guard, exh: make([]bool, ref.Candidates)}
 		copy(r.exh, m.Absent)
 		w.add(r, m.Blocks, int64(m.Rows))
 	}
 	return w.run(target, opts, began, runSpan, ref.GroupLabels, func(i int) string { return ref.Labels[i] })
 }
 
-// segmentKnobs are the run knobs a segment request carries.
-func segmentKnobs(opts Options) ShardSegment {
+// SegmentKnobs are the run knobs every segment request carries.
+func SegmentKnobs(opts Options) ShardSegment {
 	return ShardSegment{
 		Executor:           opts.Executor,
 		Lookahead:          opts.Lookahead,
@@ -369,7 +371,9 @@ func segmentKnobs(opts Options) ShardSegment {
 // report between segments.
 type remoteRunner struct {
 	shard    int
+	blocks   int
 	call     func(int, *ShardSegment) (*ShardSegmentResult, *core.Batch, error)
+	lost     func(int, error)
 	guard    *Guard
 	consumed []uint64
 	exh      []bool
@@ -382,9 +386,28 @@ func (r *remoteRunner) segment(req *ShardSegment) (*segmentOut, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := r.check(req, res); err != nil {
+		r.lost(r.shard, err)
+		return nil, err
+	}
 	r.consumed, r.exh = res.Consumed, res.LocalExhausted
 	return &segmentOut{batch: part, io: res.IO, visited: res.Visited, cursor: res.Cursor,
 		consumed: res.ConsumedCount, deficits: res.Deficits, stop: r.guard.Charge(part.Drawn, res.Stopped)}, nil
 }
 
 func (r *remoteRunner) exhausted(id int) bool { return r.exh[id] }
+
+// check rejects a sampling answer the walk cannot trust: state sized for
+// another shard's candidates or blocks, or a segment that made no
+// progress while blocks were left, which the walk would re-issue forever.
+func (r *remoteRunner) check(req *ShardSegment, res *ShardSegmentResult) error {
+	if len(res.LocalExhausted) != len(r.exh) || len(res.Consumed) != (r.blocks+63)/64 ||
+		res.Cursor < 0 || res.Cursor > r.blocks || res.ConsumedCount < 0 || res.ConsumedCount > r.blocks {
+		return fmt.Errorf("engine: shard answer (%d exhaustion flags, %d consumed words, cursor %d) does not fit %d candidates and %d blocks",
+			len(res.LocalExhausted), len(res.Consumed), res.Cursor, len(r.exh), r.blocks)
+	}
+	if res.Visited == 0 && res.Cursor == req.Cursor && res.Stopped == "" && req.Cursor < r.blocks {
+		return fmt.Errorf("engine: shard segment made no progress at block %d", req.Cursor)
+	}
+	return nil
+}

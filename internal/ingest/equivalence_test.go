@@ -93,7 +93,7 @@ func equivOptions(exec engine.Executor, nb int) engine.Options {
 }
 
 func allExecutors() []engine.Executor {
-	return []engine.Executor{engine.Scan, engine.ParallelScan, engine.ScanMatch, engine.SyncMatch, engine.FastMatch}
+	return []engine.Executor{engine.Scan, engine.ScanMatch, engine.SyncMatch, engine.FastMatch}
 }
 
 // canonicalResult strips wall-clock Duration and renders the rest as
@@ -122,7 +122,7 @@ func runAllExecutors(t *testing.T, name string, ref, got *engine.Engine, nb int)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if exec != engine.Scan && exec != engine.ParallelScan && b.Sampler == nil {
+			if exec != engine.Scan && b.Sampler == nil {
 				t.Fatalf("%s/%v: the ingest run was answered by Scan, not the sampler", name, exec)
 			}
 			if a.IO != b.IO {

@@ -34,8 +34,8 @@ type QueryRequest struct {
 	Trace bool `json:"trace,omitempty"`
 	// Quality asks for the run's answer-quality report in the response
 	// (the "quality" field) and per-round convergence telemetry in stream
-	// progress frames. Sampling executors only (scan/parallelscan answer
-	// exactly and ignore it). Like Trace, quality requests bypass the
+	// progress frames. Sampling executors only (scan answers exactly and
+	// ignores it). Like Trace, quality requests bypass the
 	// result-cache read but the result bytes are byte-identical either
 	// way — collection is purely observational.
 	Quality bool `json:"quality,omitempty"`
@@ -99,17 +99,17 @@ type OptionsSpec struct {
 	Stage1Samples      *int     `json:"stage1_samples,omitempty"`
 	// Metric is "l1" (default) or "l2".
 	Metric string `json:"metric,omitempty"`
-	// Executor is "scan", "parallelscan", "scanmatch", "syncmatch", or
-	// "fastmatch" (default).
+	// Executor is "scan", "scanmatch", "syncmatch", or "fastmatch"
+	// (default); "parallelscan" is accepted as an alias of "scan".
 	Executor   string `json:"executor,omitempty"`
 	Lookahead  *int   `json:"lookahead,omitempty"`
 	StartBlock *int   `json:"start_block,omitempty"`
 	// Seed fixes the run's random start block; identical seeded requests
 	// produce identical results (and hit the result cache).
 	Seed *int64 `json:"seed,omitempty"`
-	// Workers sets the run's intra-node fan-out (ParallelScan partitions,
-	// sampling-round read workers). Sampling results are byte-identical
-	// for any value — it is a throughput knob, not a semantic one —
+	// Workers sets the run's intra-node fan-out (scan workers,
+	// sampling-round read workers). Results are byte-identical for any
+	// value — it is a throughput knob, not a semantic one —
 	// though it participates in the options fingerprint, so different
 	// worker counts are distinct result-cache keys.
 	Workers *int `json:"workers,omitempty"`
@@ -380,10 +380,8 @@ func (os *OptionsSpec) apply(opts *engine.Options) error {
 // parseExecutor maps wire executor names onto engine executors.
 func parseExecutor(s string) (engine.Executor, error) {
 	switch s {
-	case "scan":
+	case "scan", "parallelscan":
 		return engine.Scan, nil
-	case "parallelscan":
-		return engine.ParallelScan, nil
 	case "scanmatch":
 		return engine.ScanMatch, nil
 	case "syncmatch":
@@ -391,5 +389,5 @@ func parseExecutor(s string) (engine.Executor, error) {
 	case "fastmatch":
 		return engine.FastMatch, nil
 	}
-	return 0, fmt.Errorf("unknown executor %q (want scan, parallelscan, scanmatch, syncmatch, or fastmatch)", s)
+	return 0, fmt.Errorf("unknown executor %q (want scan, scanmatch, syncmatch, or fastmatch)", s)
 }
